@@ -38,11 +38,10 @@ import (
 
 	"chrono/internal/core"
 	"chrono/internal/daemon"
-	"chrono/internal/engine"
+	"chrono/internal/experiments"
 	"chrono/internal/report"
 	"chrono/internal/simclock"
 	"chrono/internal/sysctl"
-	"chrono/internal/workload"
 )
 
 // setFlags collects repeated -set key=value arguments.
@@ -62,57 +61,35 @@ func main() {
 		op     = flag.String("op", "", "daemon op: ping|submit|status|list|pause|resume|cancel|reconfigure|dump|reload|shutdown")
 		id     = flag.String("id", "", "run id for status/pause/resume/cancel/reconfigure/dump")
 		wait   = flag.Bool("wait", false, "after submit: poll until the run settles and print its final table")
-
-		// Shared simulation shape (submit spec / local demo).
-		policy  = flag.String("policy", "", "policy name (submit/reconfigure; empty keeps the default or current)")
-		wl      = flag.String("workload", "pmbench", "workload: pmbench|graph500|kvstore|multitenant")
-		procs   = flag.Int("procs", 0, "process count (pmbench/multitenant)")
-		ws      = flag.Float64("ws", 0, "working set GB per process (pmbench)")
-		readPct = flag.Float64("read", 0, "read percentage")
-		stride  = flag.Int("stride", 0, "pmbench stride")
-		total   = flag.Float64("total", 0, "total working set GB (graph500)")
-		flavor  = flag.String("flavor", "", "kvstore flavor: memcached|redis")
-		setget  = flag.String("setget", "", "kvstore SET:GET mix (1:10 or 1:1)")
-		huge    = flag.Bool("huge", false, "map huge pages")
-		secs    = flag.Float64("secs", 240, "virtual run seconds")
-		seed    = flag.Uint64("seed", 42, "simulation seed")
-		fastGB  = flag.Float64("fast", 0, "fast tier GB")
-		slowGB  = flag.Float64("slow", 0, "slow tier GB")
-		ppg     = flag.Int64("pages-per-gb", 0, "simulated pages per GB (capacity scale)")
-		faults  = flag.String("faults", "", "fault-injection plan spec")
-
-		list = flag.Bool("list", false, "local: list all parameters with current values")
+		list   = flag.Bool("list", false, "local: list all parameters with current values")
 	)
 	flag.Var(&sets, "set", "parameter write, key=value (repeatable)")
+	// The simulation shape of a submit (zero fields take chronod's
+	// defaults) and of the local demo; -policy also names a
+	// reconfiguration's new policy (empty keeps the current one).
+	spec := daemon.RunSpec{Workload: "pmbench", Seed: 42, DurationS: 240}
+	spec.Flags(flag.CommandLine)
+	flag.StringVar(&spec.Faults, "faults", "", "fault-injection plan spec")
 	flag.Parse()
 
 	if *socket != "" {
 		os.Exit(clientMain(&clientArgs{
-			socket: *socket, op: *op, id: *id, wait: *wait, policy: *policy,
-			sets: sets,
-			spec: daemon.RunSpec{
-				Policy: *policy, Workload: *wl, Procs: *procs, WSGB: *ws,
-				ReadPct: *readPct, Stride: *stride, TotalGB: *total,
-				Flavor: *flavor, SetGet: *setget, Huge: *huge, Seed: *seed,
-				DurationS: *secs, FastGB: *fastGB, SlowGB: *slowGB,
-				PagesPerGB: *ppg, Faults: *faults,
-			},
+			socket: *socket, op: *op, id: *id, wait: *wait, sets: sets, spec: spec,
 		}))
 	}
-	os.Exit(localMain(sets, *list, *secs, *seed))
+	os.Exit(localMain(sets, *list, spec.DurationS, spec.Seed))
 }
 
 // localMain is the classic in-process demonstration.
 func localMain(sets setFlags, list bool, secs float64, seed uint64) int {
 	// Build a live system so the parameter table is fully populated.
-	e := engine.New(engine.Config{Seed: seed})
-	w := &workload.Pmbench{Processes: 20, WorkingSetGB: 12, ReadPct: 70, Stride: 2}
-	if err := w.Build(e); err != nil {
+	spec := experiments.Spec{Workload: "pmbench", Procs: 20, WSGB: 12, Seed: seed}.WithDefaults()
+	e, _, err := spec.Build(spec.Policy)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "chronoctl:", err)
 		return 1
 	}
-	ch := core.New(core.Options{})
-	e.AttachPolicy(ch)
+	ch := e.Policy().(*core.Chrono)
 
 	if list {
 		t := report.NewTable("Runtime parameters (sysctl/procfs controllers)",
@@ -193,7 +170,6 @@ type clientArgs struct {
 	op     string
 	id     string
 	wait   bool
-	policy string
 	sets   setFlags
 	spec   daemon.RunSpec
 }
@@ -283,7 +259,7 @@ func clientMain(a *clientArgs) int {
 			}
 			set[key] = val
 		}
-		resp, err := c.Do(daemon.Request{Op: daemon.OpReconfigure, ID: a.id, Policy: a.policy, Set: set})
+		resp, err := c.Do(daemon.Request{Op: daemon.OpReconfigure, ID: a.id, Policy: a.spec.Policy, Set: set})
 		if err != nil {
 			return fail(err.Error())
 		}
@@ -350,8 +326,6 @@ func printRun(r daemon.RunInfo) {
 }
 
 func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
+	first, _, _ := strings.Cut(s, "\n")
+	return first
 }

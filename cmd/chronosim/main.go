@@ -15,107 +15,36 @@ import (
 	"fmt"
 	"os"
 
-	"chrono/internal/engine"
 	"chrono/internal/experiments"
 	"chrono/internal/report"
-	"chrono/internal/simclock"
-	"chrono/internal/units"
-	"chrono/internal/workload"
 )
 
 func main() {
-	var (
-		polName = flag.String("policy", "Chrono", "policy: Linux-NB|AutoTiering|Multi-Clock|TPP|Memtis|Chrono|Chrono-basic|...")
-		wl      = flag.String("workload", "pmbench", "workload: pmbench|graph500|kvstore|multitenant")
-		procs   = flag.Int("procs", 50, "process count (pmbench/multitenant)")
-		ws      = flag.Float64("ws", 5, "working set GB per process (pmbench)")
-		readPct = flag.Float64("read", 70, "read percentage")
-		stride  = flag.Int("stride", 2, "pmbench stride")
-		total   = flag.Float64("total", 256, "total working set GB (graph500)")
-		flavor  = flag.String("flavor", "memcached", "kvstore flavor: memcached|redis")
-		setget  = flag.String("setget", "1:10", "kvstore SET:GET mix (1:10 or 1:1)")
-		secs    = flag.Float64("secs", 600, "virtual duration seconds")
-		huge    = flag.Bool("huge", false, "map huge pages")
-		seed    = flag.Uint64("seed", 42, "simulation seed")
-		series  = flag.Bool("series", false, "print per-process DRAM placement at the end")
-		fastGB  = flag.Float64("fast", 64, "fast tier GB")
-		slowGB  = flag.Float64("slow", 192, "slow tier GB")
-		shards  = flag.Int("shards", 1, "fault-machinery shards (multi-core single-run execution; never affects results)")
-		ppg     = flag.Int64("pages-per-gb", 0, "simulated pages per GB (0 = default 256; 262144 = full fidelity, one page per real 4 KB)")
-	)
+	// The spec takes every flag verbatim (no zero-means-default pass
+	// after parsing: the flags carry chronosim's defaults), and is
+	// validated before anything simulates, with the messages chronod
+	// gives.
+	spec := experiments.Spec{}.WithDefaults()
+	spec.Flags(flag.CommandLine)
+	series := flag.Bool("series", false, "print per-process DRAM placement at the end")
+	shards := flag.Int("shards", 1, "fault-machinery shards (multi-core single-run execution; never affects results)")
 	flag.Parse()
 
-	mode := engine.BasePages
-	if *huge {
-		mode = engine.HugePages
-	}
-
-	var w workload.Workload
-	switch *wl {
-	case "pmbench":
-		w = &workload.Pmbench{
-			Processes: *procs, WorkingSetGB: units.GB(*ws), ReadPct: *readPct,
-			Stride: *stride, Mode: mode,
-		}
-	case "graph500":
-		w = &workload.Graph500{TotalGB: units.GB(*total), Mode: mode}
-	case "kvstore":
-		f := workload.Memcached
-		if *flavor == "redis" {
-			f = workload.Redis
-		}
-		set, get := 1.0, 10.0
-		if *setget == "1:1" {
-			get = 1
-		}
-		w = &workload.KVStore{Flavor: f, StoreGB: 160, SetRatio: set, GetRatio: get, Mode: mode}
-	case "multitenant":
-		w = &workload.MultiTenant{Tenants: *procs}
-	default:
-		fmt.Fprintf(os.Stderr, "chronosim: unknown workload %q\n", *wl)
+	if err := spec.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "chronosim:", err)
 		os.Exit(2)
 	}
-
-	opts := experiments.RunOpts{
-		Seed:       *seed,
-		Duration:   simclock.FromSeconds(*secs),
-		FastGB:     units.GB(*fastGB),
-		SlowGB:     units.GB(*slowGB),
-		Shards:     *shards,
-		PagesPerGB: *ppg,
-	}
-	res, err := experiments.Run(*polName, w, opts)
+	w, _ := spec.NewWorkload()
+	opts, _ := spec.Opts()
+	opts.Shards = *shards
+	res, err := experiments.Run(spec.Policy, w, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chronosim:", err)
 		os.Exit(1)
 	}
 
-	m := res.Metrics
-	t := report.NewTable(fmt.Sprintf("%s on %s (%.0fs virtual)", *polName, w.Name(), *secs),
-		"Metric", "Value")
-	t.AddRow("Throughput (Mop/s)", m.Throughput())
-	t.AddRow("FMAR (%)", m.FMAR()*100)
-	t.AddRow("Avg latency (ns)", m.Lat.Mean())
-	t.AddRow("P50 latency (ns)", m.Lat.Percentile(0.5))
-	t.AddRow("P99 latency (ns)", m.Lat.Percentile(0.99))
-	t.AddRow("Kernel time (%)", m.KernelTimeFrac()*100)
-	t.AddRow("Context switches (/s)", m.ContextSwitchRate())
-	t.AddRow("Hint faults", m.Faults)
-	t.AddRow("Promotions (pages)", m.Promotions)
-	t.AddRow("Demotions (pages)", m.Demotions)
-	t.AddRow("Migrated (GB)", m.MigratedBytes/1e9)
-	cls, f1, ppr := experiments.Score(res)
-	t.AddRow("F1-score", f1)
-	t.AddRow("Precision", cls.Precision())
-	t.AddRow("Recall", cls.Recall())
-	t.AddRow("PPR", ppr)
-	if res.Chrono != nil {
-		t.AddRow("CIT threshold (ms)", res.Chrono.ThresholdMS())
-		t.AddRow("Rate limit (MB/s)", res.Chrono.RateLimitMBps())
-		t.AddRow("Thrash events", res.Chrono.ThrashTotal)
-		t.AddRow("DCSC samples", res.Chrono.DCSCSamples)
-	}
-	t.Fprint(os.Stdout)
+	title := fmt.Sprintf("%s on %s (%.0fs virtual)", spec.Policy, w.Name(), spec.DurationS)
+	experiments.MetricsTable(title, res, false).Fprint(os.Stdout)
 
 	if *series {
 		pt := report.NewTable("Final placement per process", "PID", "Name", "DRAM %")

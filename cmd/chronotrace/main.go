@@ -14,12 +14,10 @@ import (
 	"fmt"
 	"os"
 
-	"chrono/internal/core"
 	"chrono/internal/engine"
 	"chrono/internal/experiments"
 	"chrono/internal/simclock"
 	"chrono/internal/trace"
-	"chrono/internal/units"
 	"chrono/internal/workload"
 )
 
@@ -54,32 +52,41 @@ func record(args []string) {
 	ws := fs.Float64("ws", 12, "working set GB per process (pmbench)")
 	fatal(fs.Parse(args))
 
-	var w workload.Workload
-	switch *wl {
-	case "pmbench":
-		w = &workload.Pmbench{Processes: *procs, WorkingSetGB: units.GB(*ws), ReadPct: 70, Stride: 2}
-	case "graph500":
-		w = &workload.Graph500{TotalGB: units.GB(*ws * float64(*procs))}
-	case "kvstore":
-		w = &workload.KVStore{Flavor: workload.Memcached, StoreGB: 160, SetRatio: 1, GetRatio: 10}
-	case "multitenant":
-		w = &workload.MultiTenant{Tenants: *procs}
-	default:
-		fatal(fmt.Errorf("unknown workload %q", *wl))
+	// chronotrace's own shape defaults: 16 procs × 12 GB, and a graph500
+	// total of procs × ws.
+	spec := experiments.Spec{
+		Policy: "Chrono", Workload: *wl, Procs: *procs, WSGB: *ws,
+		ReadPct: 70, Stride: 2, TotalGB: *ws * float64(*procs),
+		Flavor: "memcached", SetGet: "1:10", Seed: *seed, DurationS: *secs,
 	}
+	fatal(spec.Validate())
+	w, _ := spec.NewWorkload()
+	opts, _ := spec.Opts()
 
-	e := engine.New(engine.Config{Seed: *seed})
-	fatal(w.Build(e))
 	f, err := os.Create(*out)
 	fatal(err)
 	rec := trace.NewRecorder(f)
-	fatal(rec.Attach(e, w.Name()))
-	e.AttachPolicy(core.New(core.Options{}))
-	m := e.Run(simclock.FromSeconds(*secs))
+	res, err := experiments.Run(spec.Policy, recording{w, rec}, opts)
+	fatal(err)
+	m := res.Metrics
 	fatal(rec.Flush())
 	fatal(f.Close())
 	fmt.Printf("recorded %s: %.0fs virtual, %.1f Mop/s, FMAR %.1f%%\n",
 		*out, m.Duration.Seconds(), m.Throughput(), m.FMAR()*100)
+}
+
+// recording attaches a trace recorder right after its workload builds,
+// so the recorder's clock events register before the policy's.
+type recording struct {
+	workload.Workload
+	rec *trace.Recorder
+}
+
+func (r recording) Build(e *engine.Engine) error {
+	if err := r.Workload.Build(e); err != nil {
+		return err
+	}
+	return r.rec.Attach(e, r.Name())
 }
 
 func info(args []string) {
@@ -128,17 +135,14 @@ func replay(args []string) {
 	_ = f.Close() // read-only: close failure is moot
 	fatal(err)
 
-	e := engine.New(engine.Config{
+	res, err := experiments.Run(*pol, &trace.Replay{T: tr}, experiments.RunOpts{
 		Seed:   *seed,
 		FastGB: tr.Header.FastGB, SlowGB: tr.Header.SlowGB,
 		PagesPerGB: tr.Header.PagesPerGB,
+		Duration:   simclock.FromSeconds(*secs),
 	})
-	rp := &trace.Replay{T: tr}
-	fatal(rp.Build(e))
-	p, err := experiments.NewPolicy(*pol)
 	fatal(err)
-	e.AttachPolicy(p)
-	m := e.Run(simclock.FromSeconds(*secs))
+	m := res.Metrics
 	fmt.Printf("replayed %s under %s: %.1f Mop/s, FMAR %.1f%%, p99 %.0f ns, prom %d\n",
 		*in, *pol, m.Throughput(), m.FMAR()*100, m.Lat.Percentile(0.99), m.Promotions)
 }

@@ -5,10 +5,11 @@
 //
 // Robustness is the design driver, not a bolt-on:
 //
-//   - Every run executes through parallel.MapRecover, so a panicking
-//     policy or workload takes down one run, never the daemon.
-//   - The PR 5 stall watchdog guards each run; a hard-stalled run is
-//     abandoned, counted (watchdog.NoteAbandoned), and reported.
+//   - Every run executes under experiments.Supervise, the driver durable
+//     sweep cells use too: a panicking policy or workload takes down one
+//     run, never the daemon, and the stall watchdog guards each run — a
+//     hard-stalled run is abandoned, counted (watchdog.NoteAbandoned),
+//     and reported.
 //   - Admission is a bounded queue with explicit load-shedding: an
 //     over-capacity submit is rejected with a retry-after hint instead
 //     of queueing without bound.
@@ -29,6 +30,14 @@
 // answers with a Response and closes. Keeping the framing this dumb
 // means a shell script with nc(1) can drive it.
 package daemon
+
+import "chrono/internal/experiments"
+
+// RunSpec is the submit payload: experiments.Spec, the one flag-shaped
+// run description chronosim and chronotrace build from their flags too.
+// Its defaults, validation and workload switch live there, so a spec is
+// rejected with the same message wherever it comes from.
+type RunSpec = experiments.Spec
 
 // Op names accepted in Request.Op.
 const (

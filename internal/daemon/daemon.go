@@ -303,8 +303,8 @@ func (d *Daemon) runDriver(r *run) {
 // back-pressure: rejecting with a retry hint beats queueing without
 // bound and falling over later.
 func (d *Daemon) Submit(spec RunSpec) Response {
-	spec = spec.withDefaults()
-	if err := spec.validate(); err != nil {
+	spec = spec.WithDefaults()
+	if err := spec.Validate(); err != nil {
 		return Response{Error: err.Error()}
 	}
 	d.mu.Lock()

@@ -9,17 +9,13 @@ package daemon
 // (engine.RestoreSwap) or rolls back to the old one when validation
 // fails — the run itself survives either way.
 //
-// Robustness boundaries per segment:
-//   - the simulation executes through parallel.MapRecover, so a panic
-//     is confined to the run and lands in its record;
-//   - the stall watchdog (internal/watchdog) checkpoints and fails a
-//     run whose virtual time freezes, and abandons — counting and
-//     logging the leak — a goroutine wedged inside a single event;
-//   - the AfterStep hook checkpoints periodically and on drain, so
-//     kill -9 at any moment loses at most one checkpoint interval.
-//
-// Wall-clock use in this file is host-side only (cadence, watchdog),
-// annotated for the detclock linter.
+// Every segment runs under experiments.Supervise, the same driver as
+// durable sweep cells: panic confinement, the stall watchdog with
+// hard-stall abandonment, periodic checkpoints and the drain save all
+// live there, so kill -9 at any moment loses at most one checkpoint
+// interval. What is the daemon's own is the Step callback: control
+// servicing (dump, pause, reconfigure-at-epoch) on the engine's
+// goroutine, and the mapping of the outcome onto the run's lifecycle.
 
 import (
 	"context"
@@ -27,17 +23,12 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync/atomic"
-	"time"
+	"strings"
 
 	"chrono/internal/checkpoint"
-	"chrono/internal/core"
 	"chrono/internal/engine"
 	"chrono/internal/experiments"
-	"chrono/internal/parallel"
-	"chrono/internal/report"
 	"chrono/internal/simclock"
-	"chrono/internal/watchdog"
 	"chrono/internal/workload"
 )
 
@@ -65,26 +56,11 @@ type ctrlReply struct {
 	dropped int
 }
 
-type segOutcome int
-
-const (
-	segFinished segOutcome = iota
-	segFailed
-	segInterrupted // ctx cancelled: user cancel or daemon drain
-	segPaused
-	segStalled
-	segSwap // snapshot captured for a pending reconfiguration
-)
-
-type segResult struct {
-	outcome   segOutcome
-	errMsg    string
-	abandoned bool
-	metrics   *engine.Metrics
-	// Swap handoff: the epoch-boundary snapshot and the request that
-	// asked for it.
-	snap    *engine.EngineState
-	swapMsg *ctrlMsg
+// swapReq is a reconfiguration whose epoch boundary was reached: the
+// request and the snapshot taken there.
+type swapReq struct {
+	msg  *ctrlMsg
+	snap *engine.EngineState
 }
 
 // drive owns one run from scheduling to a terminal state.
@@ -134,37 +110,38 @@ func (d *Daemon) drive(r *run) {
 	}
 
 	for {
-		seg := d.execute(r, e, w, resume)
-		switch seg.outcome {
-		case segFinished:
-			d.settleDone(r, e, w, seg.metrics)
+		sv, swap := d.execute(r, e, w, resume)
+		switch sv.Outcome {
+		case experiments.Finished:
+			d.settleDone(r, e, w, sv.Metrics)
 			return
-		case segFailed:
-			d.settleFail(r, seg.errMsg, false)
+		case experiments.Panicked:
+			d.settleFail(r, fmt.Sprintf("panic: %v\n%s", sv.Panic, sv.Stack), false)
 			return
-		case segStalled:
-			d.settleFail(r, seg.errMsg, seg.abandoned)
+		case experiments.Stalled, experiments.StalledHard:
+			d.settleFail(r, sv.Reason, sv.Outcome == experiments.StalledHard)
 			return
-		case segInterrupted:
+		case experiments.Interrupted: // user cancel or daemon drain
 			d.settleInterrupt(r)
 			return
-		case segPaused:
-			// Fresh context and paused state become visible atomically: a
-			// Resume that sees "paused" is guaranteed the new context.
+		}
+		if swap == nil {
+			// Stopped by a pause. Fresh context and paused state become
+			// visible atomically: a Resume that sees "paused" is
+			// guaranteed the new context.
 			r.mu.Lock()
 			r.ctx, r.cancel = context.WithCancel(d.ctx)
 			r.state = StatePaused
 			r.mu.Unlock()
 			d.logf("chronod: run %s paused at %.1fs virtual", r.id, simclock.Duration(r.simNow.Load()).Seconds())
 			return
-		case segSwap:
-			e, w = d.applySwap(r, seg)
-			if e == nil {
-				// Rollback itself failed; the run is unrecoverable.
-				return
-			}
-			resume = true
 		}
+		e, w = d.applySwap(r, swap)
+		if e == nil {
+			// Rollback itself failed; the run is unrecoverable.
+			return
+		}
+		resume = true
 	}
 }
 
@@ -179,7 +156,7 @@ var errStaleSnapshot = errors.New("daemon: snapshot not restorable")
 // over; the caller charges it to the run only once the whole swap
 // (including its sysctl stage) has succeeded.
 func (d *Daemon) prepare(r *run, polName string, snap *engine.EngineState, swap bool) (_ *engine.Engine, _ workload.Workload, dropped int, _ error) {
-	e, w, err := r.spec.buildEngine(polName)
+	e, w, err := r.spec.Build(polName)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -245,45 +222,26 @@ func nextEpoch(now simclock.Time, epoch simclock.Duration) simclock.Time {
 	return simclock.Time((int64(now)/int64(epoch) + 1) * int64(epoch))
 }
 
-// execute runs one segment to its end. It installs the AfterStep hook
-// (control servicing, periodic checkpoint, drain, stall response),
-// arms the watchdog, and confines the simulation in MapRecover.
-func (d *Daemon) execute(r *run, e *engine.Engine, w workload.Workload, resumed bool) segResult {
+// execute runs one segment to its end under experiments.Supervise, with
+// the run's control servicing as the Step callback. A segment Stopped by
+// Step was paused, or reached a reconfiguration (swap non-nil).
+func (d *Daemon) execute(r *run, e *engine.Engine, w workload.Workload, resumed bool) (experiments.Supervised, *swapReq) {
 	cfg := d.Config()
-	clock := e.Clock()
 	epoch := e.Config().EpochNS
-	ctx := r.context()
 
 	r.mu.Lock()
 	polName := r.policy
 	r.mu.Unlock()
 
 	var (
-		res         segResult
-		snapBroken  bool
-		interrupted bool
-		stalled     bool
-		paused      bool
-		swapping    bool
-		swapMsg     *ctrlMsg
-		swapAt      simclock.Time
+		paused  bool
+		swapMsg *ctrlMsg
+		swapAt  simclock.Time
+		swap    *swapReq // set when a swap stops the segment
 	)
-	var stallReq atomic.Bool
-	var abandoned atomic.Bool
-	r.simNow.Store(int64(clock.Now()))
-	lastSave := time.Now() //chrono:wallclock checkpoint cadence is host-side
-	interval := cfg.checkpointInterval()
-
-	clock.SetAfterStep(func() {
-		if abandoned.Load() {
-			// The driver walked away after a hard stall; park this leaked
-			// run at the next event boundary.
-			clock.Stop()
-			return
-		}
-		now := clock.Now()
+	r.simNow.Store(int64(e.Clock().Now()))
+	step := func(now simclock.Time) bool {
 		r.simNow.Store(int64(now))
-
 		// Service control requests. One swap may be pending at a time;
 		// everything else answers immediately.
 		for more := true; more; {
@@ -299,7 +257,6 @@ func (d *Daemon) execute(r *run, e *engine.Engine, w workload.Workload, resumed 
 					}
 					paused = true
 					msg.reply <- ctrlReply{}
-					clock.Stop()
 				case OpReconfigure:
 					if err := validateSwap(e, polName, msg); err != nil {
 						msg.reply <- ctrlReply{err: err}
@@ -326,110 +283,30 @@ func (d *Daemon) execute(r *run, e *engine.Engine, w workload.Workload, resumed 
 				swapMsg.reply <- ctrlReply{err: fmt.Errorf("daemon: cannot reconfigure: %w", err)}
 				swapMsg = nil
 			} else {
-				res.snap = st
-				res.swapMsg = swapMsg
-				swapping = true
-				clock.Stop()
-				return
+				swap = &swapReq{msg: swapMsg, snap: st}
+				return true
 			}
 		}
+		return paused
+	}
 
-		switch {
-		case ctx.Err() != nil:
-			_ = d.saveCkpt(r, e, polName) // best-effort resume point
-			interrupted = true
-			clock.Stop()
-		case stallReq.Load():
-			_ = d.saveCkpt(r, e, polName)
-			stalled = true
-			clock.Stop()
-		case !snapBroken && interval > 0:
-			//chrono:wallclock checkpoint cadence is host-side
-			if time.Since(lastSave) >= interval {
-				if err := d.saveCkpt(r, e, polName); err != nil {
-					snapBroken = true
-				}
-				lastSave = time.Now() //chrono:wallclock checkpoint cadence is host-side
-			}
-		}
+	sv := experiments.Supervise(e, experiments.Supervision{
+		Name: fmt.Sprintf("daemon run %s policy=%s workload=%s seed=%d",
+			r.id, polName, r.spec.Workload, r.spec.Seed),
+		Ctx:          r.context(),
+		Resumed:      resumed,
+		Duration:     r.spec.Duration(),
+		Interval:     cfg.checkpointInterval(),
+		StallTimeout: cfg.stallTimeout(),
+		Save:         func() error { return d.saveCkpt(r, e, polName) },
+		Step:         step,
 	})
-
-	stopWatch := make(chan struct{})
-	defer close(stopWatch)
-	var hardStall chan struct{}
-	if st := cfg.stallTimeout(); st > 0 {
-		hardStall = make(chan struct{})
-		go watchdog.Watch(st, &r.simNow, &stallReq, hardStall, stopWatch)
+	if sv.Outcome != experiments.Stopped {
+		// Not read otherwise: an abandoned run goroutine may still be
+		// executing the step closure.
+		return sv, nil
 	}
-
-	// The simulation itself, confined: a panic in a policy or workload
-	// becomes an error on this run, never a daemon crash. The channel is
-	// buffered so an abandoned goroutine can still deliver and exit.
-	type runOut struct {
-		ms   []*engine.Metrics
-		errs []error
-	}
-	out := make(chan runOut, 1)
-	//chrono:allow goroscope deliberately abandonable: a hard-stalled run goroutine is parked by the AfterStep hook and its engine discarded (see the hardStall arm below)
-	go func() {
-		ms, errs := parallel.MapRecover(1, []func() (*engine.Metrics, error){
-			func() (*engine.Metrics, error) {
-				if resumed {
-					return e.ResumeRun(), nil
-				}
-				return e.Run(r.spec.duration()), nil
-			},
-		})
-		out <- runOut{ms, errs}
-	}()
-
-	var ms []*engine.Metrics
-	var errs []error
-	select {
-	case ro := <-out:
-		ms, errs = ro.ms, ro.errs
-		clock.SetAfterStep(nil)
-	case <-hardStall:
-		// Wedged inside a single event: no hook, no checkpoint, no way to
-		// preempt. Abandon the goroutine — counted and logged so the debt
-		// is visible — and fail the run from its last snapshot.
-		abandoned.Store(true)
-		watchdog.NoteAbandoned(fmt.Sprintf("daemon run %s policy=%s workload=%s seed=%d",
-			r.id, polName, r.spec.Workload, r.spec.Seed))
-		res.outcome = segStalled
-		res.abandoned = true
-		res.errMsg = fmt.Sprintf("stalled hard: no sim-time progress for %v and the event handler never yielded",
-			2*cfg.stallTimeout())
-		return res
-	}
-
-	if len(errs) > 0 && errs[0] != nil {
-		var pv *parallel.Panic
-		if errors.As(errs[0], &pv) {
-			res.outcome = segFailed
-			res.errMsg = fmt.Sprintf("panic: %v\n%s", pv.Value, pv.Stack)
-			return res
-		}
-		res.outcome = segFailed
-		res.errMsg = errs[0].Error()
-		return res
-	}
-
-	switch {
-	case swapping:
-		res.outcome = segSwap
-	case paused:
-		res.outcome = segPaused
-	case interrupted:
-		res.outcome = segInterrupted
-	case stalled:
-		res.outcome = segStalled
-		res.errMsg = fmt.Sprintf("stalled: no sim-time progress for %v", cfg.stallTimeout())
-	default:
-		res.outcome = segFinished
-		res.metrics = ms[0]
-	}
-	return res
+	return sv, swap
 }
 
 // validateSwap pre-flights a reconfiguration before anything stops: the
@@ -473,8 +350,8 @@ func sortedKeys(m map[string]string) []string {
 // policy is rebuilt from the same snapshot and the run continues as if
 // the request never happened. The reply to the waiting client is sent
 // from here either way.
-func (d *Daemon) applySwap(r *run, seg segResult) (*engine.Engine, workload.Workload) {
-	msg, snap := seg.swapMsg, seg.snap
+func (d *Daemon) applySwap(r *run, swap *swapReq) (*engine.Engine, workload.Workload) {
+	msg, snap := swap.msg, swap.snap
 	r.mu.Lock()
 	oldPol := r.policy
 	r.mu.Unlock()
@@ -552,7 +429,9 @@ func (d *Daemon) settleDone(r *run, e *engine.Engine, w workload.Workload, m *en
 	r.mu.Unlock()
 	// The table lands on disk before the state flips: a Status that sees
 	// "done" is guaranteed to find the final table.
-	table := renderFinalTable(r.spec, pol, w, e, m)
+	title := fmt.Sprintf("%s on %s (%.0fs virtual)", pol, w.Name(), r.spec.DurationS)
+	res := &experiments.Result{Policy: pol, Metrics: m, Engine: e, Workload: w}
+	table := experiments.MetricsTable(title, res, false).String()
 	_ = checkpoint.WriteFileAtomic(r.tablePath(), []byte(table))
 	_ = os.Remove(r.ckptPath())
 	r.setState(StateDone)
@@ -567,7 +446,8 @@ func (d *Daemon) settleFail(r *run, errMsg string, abandoned bool) {
 	r.abandonedG = abandoned
 	r.mu.Unlock()
 	r.persist()
-	d.logf("chronod: run %s failed: %s", r.id, firstLine(errMsg))
+	first, _, _ := strings.Cut(errMsg, "\n")
+	d.logf("chronod: run %s failed: %s", r.id, first)
 }
 
 func (d *Daemon) settleInterrupt(r *run) {
@@ -587,41 +467,6 @@ func (d *Daemon) settleInterrupt(r *run) {
 	}
 }
 
-func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
-}
-
-// renderFinalTable is the chronosim metrics table for a finished run —
-// rendered identically whether the run was interrupted and resumed or
-// ran straight through, which is exactly what the byte-identical
-// crash-recovery fence diffs.
-func renderFinalTable(spec RunSpec, polName string, w workload.Workload, e *engine.Engine, m *engine.Metrics) string {
-	t := report.NewTable(fmt.Sprintf("%s on %s (%.0fs virtual)", polName, w.Name(), spec.DurationS),
-		"Metric", "Value")
-	addMetricRows(t, m)
-	res := &experiments.Result{Policy: polName, Metrics: m, Engine: e, Workload: w}
-	if c, ok := e.Policy().(*core.Chrono); ok {
-		res.Chrono = c
-	}
-	cls, f1, ppr := experiments.Score(res)
-	t.AddRow("F1-score", f1)
-	t.AddRow("Precision", cls.Precision())
-	t.AddRow("Recall", cls.Recall())
-	t.AddRow("PPR", ppr)
-	if res.Chrono != nil {
-		t.AddRow("CIT threshold (ms)", res.Chrono.ThresholdMS())
-		t.AddRow("Rate limit (MB/s)", res.Chrono.RateLimitMBps())
-		t.AddRow("Thrash events", res.Chrono.ThrashTotal)
-		t.AddRow("DCSC samples", res.Chrono.DCSCSamples)
-	}
-	return t.String()
-}
-
 // renderLiveTable is the memtierd-style mid-run dump: the same counters
 // over the virtual time elapsed so far. It runs inside the AfterStep
 // hook — the only context where reading the engine mid-run is safe.
@@ -634,24 +479,7 @@ func renderLiveTable(r *run, polName string, w workload.Workload, e *engine.Engi
 	if m.Duration == 0 {
 		m.Duration = now // rates are "so far", not end-of-run
 	}
-	t := report.NewTable(fmt.Sprintf("%s: %s on %s at %.1fs virtual (live)",
-		r.id, polName, w.Name(), simclock.Duration(now).Seconds()), "Metric", "Value")
-	addMetricRows(t, m)
-	return t.String()
-}
-
-// addMetricRows adds the counter/rate rows shared by the live dump and
-// the final table.
-func addMetricRows(t *report.Table, m *engine.Metrics) {
-	t.AddRow("Throughput (Mop/s)", m.Throughput())
-	t.AddRow("FMAR (%)", m.FMAR()*100)
-	t.AddRow("Avg latency (ns)", m.Lat.Mean())
-	t.AddRow("P50 latency (ns)", m.Lat.Percentile(0.5))
-	t.AddRow("P99 latency (ns)", m.Lat.Percentile(0.99))
-	t.AddRow("Kernel time (%)", m.KernelTimeFrac()*100)
-	t.AddRow("Context switches (/s)", m.ContextSwitchRate())
-	t.AddRow("Hint faults", m.Faults)
-	t.AddRow("Promotions (pages)", m.Promotions)
-	t.AddRow("Demotions (pages)", m.Demotions)
-	t.AddRow("Migrated (GB)", m.MigratedBytes/1e9)
+	title := fmt.Sprintf("%s: %s on %s at %.1fs virtual (live)",
+		r.id, polName, w.Name(), simclock.Duration(now).Seconds())
+	return experiments.MetricsTable(title, &experiments.Result{Metrics: m}, true).String()
 }

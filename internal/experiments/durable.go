@@ -3,43 +3,21 @@ package experiments
 // Durable sweep cells: the experiments-layer half of checkpoint/restore.
 //
 // A sweep cell (one ResilientRun of a (policy, workload) pair) becomes
-// durable when RunOpts.Checkpoint names a directory. While the cell runs,
-// an AfterStep hook snapshots the engine at a wall-clock cadence and
-// writes it — atomically, through internal/checkpoint's envelope — to
+// durable when RunOpts.Checkpoint names a directory. The cell then runs
+// under Supervise (supervise.go), whose saves write the engine snapshot —
+// atomically, through internal/checkpoint's envelope — to
 // <dir>/cells/<key>.ckpt, where <key> is a hash of the cell's canonical
-// RunSpec. When the cell finishes, its metrics land in <key>.done and the
+// CellSpec. When the cell finishes, its metrics land in <key>.done and the
 // snapshot is deleted. A later invocation with Resume set short-circuits
 // finished cells from their .done record and continues interrupted cells
 // from their .ckpt via engine.Restore — bit-identical to a run that was
 // never interrupted (the fence in engine/checkpoint_test.go and the
 // kill-and-resume CI job both enforce that).
 //
-// Wall-clock time appears in this file on purpose: checkpoint cadence and
-// stall detection are properties of the *host* execution, not of the
-// simulation, and none of it feeds back into simulation state. Every use
-// is annotated for the detclock linter.
-//
-// The same AfterStep hook implements two more host-side concerns:
-//
-//   - Stall watchdog (internal/watchdog): a goroutine watches the
-//     sim-time watermark the hook publishes. If it stops advancing for
-//     CheckpointOpts.StallTimeout of wall time, the hook is asked to
-//     checkpoint and stop the clock; the cell is recorded as Stalled in
-//     the failure manifest with a resume pointer. A cell stuck *inside*
-//     one event can't run the hook — after a second timeout the watchdog
-//     abandons it (the goroutine leaks, by design: there is no safe way
-//     to preempt it), counts and logs the abandonment through
-//     watchdog.NoteAbandoned, and reports the stall from the last
-//     snapshot with AbandonedGoroutine set.
-//
-//   - Graceful drain: when RunOpts.Ctx is cancelled (SIGINT/SIGTERM in
-//     cmd/reproduce), the hook checkpoints at the next event boundary and
-//     stops; the cell is recorded as Interrupted with a resume pointer,
-//     and ResilientRun does not retry it.
-//
-// Cells that schedule unkeyed clock events (workload drift, RunScored's
-// sampling hook) fail Snapshot; the cell then simply runs to completion
-// without periodic snapshots — graceful degradation, never corruption.
+// Supervise's outcomes map onto the failure manifest: a drained cell
+// (cancelled RunOpts.Ctx) is Interrupted, a frozen one Stalled — with
+// AbandonedGoroutine after a hard stall — and both carry a resume
+// pointer; ResilientRun retries neither.
 
 import (
 	"crypto/sha256"
@@ -49,14 +27,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime/debug"
 	"sync/atomic"
 	"time"
 
 	"chrono/internal/checkpoint"
 	"chrono/internal/engine"
-	"chrono/internal/simclock"
-	"chrono/internal/watchdog"
 	"chrono/internal/workload"
 )
 
@@ -78,11 +53,6 @@ type CheckpointOpts struct {
 	StallTimeout time.Duration
 }
 
-// stallTestHook, when non-nil, substitutes the sim-time progress value
-// the watchdog observes. Tests freeze it to exercise the stall path
-// without building a genuinely wedged simulation.
-var stallTestHook func(simclock.Time) simclock.Time
-
 // errStaleCheckpoint marks a cell snapshot that exists but cannot be
 // restored (corrupt envelope, incompatible version, or state that no
 // longer overlays the freshly built engine). ResilientRun reacts by
@@ -92,13 +62,13 @@ var errStaleCheckpoint = errors.New("experiments: cell checkpoint not restorable
 // cellCheckpoint is the .ckpt payload: the spec pins what the snapshot
 // belongs to, the state is the full engine capture.
 type cellCheckpoint struct {
-	Spec  RunSpec             `json:"spec"`
+	Spec  CellSpec            `json:"spec"`
 	State *engine.EngineState `json:"state"`
 }
 
 // cellDone is the .done payload for a finished cell.
 type cellDone struct {
-	Spec    RunSpec             `json:"spec"`
+	Spec    CellSpec            `json:"spec"`
 	Metrics engine.MetricsState `json:"metrics"`
 }
 
@@ -108,8 +78,8 @@ type cellDone struct {
 // Shards, ShardWorkers) are deliberately absent: they never affect
 // results, so a sweep checkpointed under one shard count resumes cleanly
 // under another.
-func specFor(experiment, polName string, w workload.Workload, o RunOpts) RunSpec {
-	return RunSpec{
+func specFor(experiment, polName string, w workload.Workload, o RunOpts) CellSpec {
+	return CellSpec{
 		Experiment: experiment,
 		Policy:     polName,
 		Workload:   w.Name(),
@@ -126,11 +96,11 @@ func specFor(experiment, polName string, w workload.Workload, o RunOpts) RunSpec
 // canonical spec JSON. Any change to seed, duration, tier sizes, fault
 // plan, workload parameters, or policy changes the key, so stale state
 // is never silently reused for a different configuration.
-func cellKey(spec RunSpec) string {
+func cellKey(spec CellSpec) string {
 	raw, err := json.Marshal(spec)
 	if err != nil {
-		// RunSpec is plain data; Marshal cannot fail on it.
-		panic(fmt.Sprintf("experiments: marshal RunSpec: %v", err))
+		// CellSpec is plain data; Marshal cannot fail on it.
+		panic(fmt.Sprintf("experiments: marshal CellSpec: %v", err))
 	}
 	sum := sha256.Sum256(raw)
 	return hex.EncodeToString(sum[:8])
@@ -138,7 +108,7 @@ func cellKey(spec RunSpec) string {
 
 // durableCell is the per-attempt checkpointing state of one sweep cell.
 type durableCell struct {
-	spec RunSpec
+	spec CellSpec
 	opts CheckpointOpts
 	key  string
 
@@ -147,15 +117,10 @@ type durableCell struct {
 	// the hard-stall path reads it while the run goroutine may still be
 	// writing snapshots.
 	saved atomic.Bool
-
-	// abandoned is set when the watchdog gives up on a hard-stuck cell;
-	// the AfterStep hook of the leaked run goroutine stops the clock (and
-	// stops writing) as soon as it runs again.
-	abandoned atomic.Bool
 }
 
 // newDurableCell returns nil when checkpointing is disabled.
-func newDurableCell(spec RunSpec, o RunOpts) *durableCell {
+func newDurableCell(spec CellSpec, o RunOpts) *durableCell {
 	if o.Checkpoint == nil || o.Checkpoint.Dir == "" {
 		return nil
 	}
@@ -198,7 +163,7 @@ func (dc *durableCell) finished(w workload.Workload) (*Result, bool, error) {
 
 // checkSpec guards against key collisions and hand-edited state: a file
 // recorded for a different configuration is an error, never a resume.
-func (dc *durableCell) checkSpec(got RunSpec, path string) error {
+func (dc *durableCell) checkSpec(got CellSpec, path string) error {
 	want, _ := json.Marshal(dc.spec)
 	have, _ := json.Marshal(got)
 	if string(want) != string(have) {
@@ -283,146 +248,39 @@ func (dc *durableCell) markDone(m *engine.Metrics) {
 	_ = os.Remove(dc.ckptPath())
 }
 
-// failure builds the manifest entry for a stalled or drained cell.
-func (dc *durableCell) failure(reason string, stalled, interrupted bool, fired uint64) *FailedRun {
-	return &FailedRun{
-		Spec:        dc.spec,
-		PanicValue:  reason,
-		EventsFired: fired,
-		Stalled:     stalled,
-		Interrupted: interrupted,
-		ResumeCkpt:  dc.resumePtr(),
-	}
-}
-
-// cellOutcome carries the run goroutine's result to the driver.
-type cellOutcome struct {
-	m        *engine.Metrics
-	panicVal any
-	stack    []byte
-}
-
 // run drives one durable attempt: resume if a snapshot exists, execute
-// with the periodic-checkpoint/watchdog/drain hook installed, and settle
-// the outcome. Exactly one of the three returns is meaningful.
+// under Supervise with the cell's .ckpt as the save target, and map the
+// outcome. Exactly one of the three returns is meaningful.
 func (dc *durableCell) run(e *engine.Engine, o RunOpts) (*engine.Metrics, *FailedRun, error) {
 	resumed, err := dc.tryResume(e)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	clock := e.Clock()
-	ctx := o.ctx()
-
-	var (
-		snapBroken  bool // Snapshot failed once; the cell is not checkpointable
-		interrupted bool
-		stalled     bool
-	)
-	var progress atomic.Int64 // sim-time watermark the watchdog reads
-	var firedW atomic.Uint64  // event watermark, race-free for the driver
-	var stallReq atomic.Bool  // watchdog → hook: checkpoint and stop now
-	progress.Store(int64(clock.Now()))
-	lastSave := time.Now() //chrono:wallclock checkpoint cadence is host-side
-	clock.SetAfterStep(func() {
-		if dc.abandoned.Load() {
-			// The driver already walked away (hard stall): stop this
-			// leaked run at the next event boundary and touch nothing.
-			clock.Stop()
-			return
-		}
-		now := clock.Now()
-		firedW.Store(clock.Fired())
-		if h := stallTestHook; h != nil {
-			now = h(now)
-		}
-		progress.Store(int64(now))
-		switch {
-		case ctx.Err() != nil:
-			_ = dc.save(e) // best-effort resume point
-			interrupted = true
-			clock.Stop()
-		case stallReq.Load():
-			_ = dc.save(e)
-			stalled = true
-			clock.Stop()
-		case !snapBroken && dc.opts.Interval > 0:
-			//chrono:wallclock checkpoint cadence is host-side
-			if time.Since(lastSave) >= dc.opts.Interval {
-				if serr := dc.save(e); serr != nil {
-					snapBroken = true
-				}
-				lastSave = time.Now() //chrono:wallclock checkpoint cadence is host-side
-			}
-		}
+	sv := Supervise(e, Supervision{
+		Name: fmt.Sprintf("cell %s policy=%s workload=%s seed=%d",
+			dc.spec.Experiment, dc.spec.Policy, dc.spec.Workload, dc.spec.Seed),
+		Ctx:          o.ctx(),
+		Resumed:      resumed,
+		Duration:     o.Duration,
+		Interval:     dc.opts.Interval,
+		StallTimeout: dc.opts.StallTimeout,
+		Save:         func() error { return dc.save(e) },
 	})
-	// Note: the hook is cleared only on the normal completion path below.
-	// An abandoned (hard-stalled) run keeps it installed — the hook is the
-	// mechanism that parks the leaked goroutine — and the engine itself is
-	// discarded either way.
-
-	// Watchdog: trip stallReq after StallTimeout of frozen sim time, and
-	// declare a hard stall — the hook never got to run — after twice that.
-	stopWatch := make(chan struct{})
-	defer close(stopWatch)
-	var hardStall chan struct{}
-	if dc.opts.StallTimeout > 0 {
-		hardStall = make(chan struct{})
-		go watchdog.Watch(dc.opts.StallTimeout, &progress, &stallReq, hardStall, stopWatch)
+	if sv.Outcome == Finished {
+		return sv.Metrics, nil, nil
 	}
-
-	out := make(chan cellOutcome, 1)
-	//chrono:allow goroscope deliberately abandonable: a hard-stalled run goroutine is parked by the checkpoint hook and the engine discarded (see the hardStall arm below)
-	go func() {
-		defer func() {
-			if v := recover(); v != nil {
-				out <- cellOutcome{panicVal: v, stack: debug.Stack()}
-			}
-		}()
-		if resumed {
-			out <- cellOutcome{m: e.ResumeRun()}
-		} else {
-			out <- cellOutcome{m: e.Run(o.Duration)}
-		}
-	}()
-
-	select {
-	case oc := <-out:
-		clock.SetAfterStep(nil)
-		if oc.panicVal != nil {
-			return nil, &FailedRun{
-				Spec:        dc.spec,
-				PanicValue:  fmt.Sprint(oc.panicVal),
-				Stack:       string(oc.stack),
-				EventsFired: firedW.Load(),
-				ResumeCkpt:  dc.resumePtr(),
-			}, nil
-		}
-		switch {
-		case stalled:
-			return nil, dc.failure(
-				fmt.Sprintf("stalled: no sim-time progress for %v", dc.opts.StallTimeout),
-				true, false, firedW.Load()), nil
-		case interrupted:
-			return nil, dc.failure("interrupted: graceful shutdown requested",
-				false, true, firedW.Load()), nil
-		}
-		return oc.m, nil, nil
-	case <-hardStall:
-		// The run goroutine is wedged inside a single event and cannot be
-		// preempted; abandon it (it parks itself at the next event
-		// boundary, if one ever comes) and report from the last snapshot.
-		// The leak is deliberate but no longer invisible: it is counted
-		// and logged so long-lived processes can see the debt accumulate.
-		dc.abandoned.Store(true)
-		watchdog.NoteAbandoned(fmt.Sprintf("cell %s policy=%s workload=%s seed=%d",
-			dc.spec.Experiment, dc.spec.Policy, dc.spec.Workload, dc.spec.Seed))
-		f := dc.failure(
-			fmt.Sprintf("stalled hard: no sim-time progress for %v and the event handler never yielded",
-				2*dc.opts.StallTimeout),
-			true, false, firedW.Load())
-		f.AbandonedGoroutine = true
-		return nil, f, nil
+	f := &FailedRun{
+		Spec:        dc.spec,
+		PanicValue:  sv.Reason,
+		EventsFired: sv.Fired,
+		Stalled:     sv.Outcome == Stalled || sv.Outcome == StalledHard,
+		Interrupted: sv.Outcome == Interrupted,
+		ResumeCkpt:  dc.resumePtr(),
+		// The goroutine of a hard-stalled cell leaks until process exit.
+		AbandonedGoroutine: sv.Outcome == StalledHard,
 	}
+	if sv.Outcome == Panicked {
+		f.PanicValue, f.Stack = fmt.Sprint(sv.Panic), string(sv.Stack)
+	}
+	return nil, f, nil
 }
-

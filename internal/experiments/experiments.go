@@ -242,10 +242,12 @@ func (r *Result) Compact() {
 	r.Engine = nil
 }
 
-// Run executes one (workload, policy) simulation.
-func Run(polName string, w workload.Workload, o RunOpts) (*Result, error) {
-	o = o.withDefaults()
-	e := newEngine(o)
+// Build assembles one run: a fresh engine for o, w built into it, then a
+// fresh polName policy attached. Every run — sweep cells, chronosim,
+// chronotrace, chronod — is assembled here, in this order, which fixes
+// the clock registration order the results depend on.
+func Build(polName string, w workload.Workload, o RunOpts) (*engine.Engine, error) {
+	e := newEngine(o.withDefaults())
 	if err := w.Build(e); err != nil {
 		return nil, fmt.Errorf("build %s: %w", w.Name(), err)
 	}
@@ -254,12 +256,26 @@ func Run(polName string, w workload.Workload, o RunOpts) (*Result, error) {
 		return nil, err
 	}
 	e.AttachPolicy(pol)
-	m := e.Run(o.Duration)
+	return e, nil
+}
+
+// newResult wraps a finished run, exposing a Chrono policy's state.
+func newResult(polName string, e *engine.Engine, w workload.Workload, m *engine.Metrics) *Result {
 	res := &Result{Policy: polName, Metrics: m, Engine: e, Workload: w}
-	if c, ok := pol.(*core.Chrono); ok {
+	if c, ok := e.Policy().(*core.Chrono); ok {
 		res.Chrono = c
 	}
-	return res, nil
+	return res
+}
+
+// Run executes one (workload, policy) simulation.
+func Run(polName string, w workload.Workload, o RunOpts) (*Result, error) {
+	o = o.withDefaults()
+	e, err := Build(polName, w, o)
+	if err != nil {
+		return nil, err
+	}
+	return newResult(polName, e, w, e.Run(o.Duration)), nil
 }
 
 // classifySnapshot scores the current placement against the workload's
@@ -322,15 +338,10 @@ func Score(res *Result) (cls stats.Classification, f1, ppr float64) {
 // or unstably converging policies score accordingly lower.
 func RunScored(polName string, w workload.Workload, o RunOpts) (*Result, stats.Classification, float64, error) {
 	o = o.withDefaults()
-	e := newEngine(o)
-	if err := w.Build(e); err != nil {
-		return nil, stats.Classification{}, 0, fmt.Errorf("build %s: %w", w.Name(), err)
-	}
-	pol, err := NewPolicy(polName)
+	e, err := Build(polName, w, o)
 	if err != nil {
 		return nil, stats.Classification{}, 0, err
 	}
-	e.AttachPolicy(pol)
 	var acc stats.Classification
 	e.Clock().Every(30*simclock.Second, func(now simclock.Time) {
 		s := classifySnapshot(e, w)
@@ -339,11 +350,7 @@ func RunScored(polName string, w workload.Workload, o RunOpts) (*Result, stats.C
 		acc.FalseNegative += s.FalseNegative
 		acc.TrueNegative += s.TrueNegative
 	})
-	m := e.Run(o.Duration)
-	res := &Result{Policy: polName, Metrics: m, Engine: e, Workload: w}
-	if c, ok := pol.(*core.Chrono); ok {
-		res.Chrono = c
-	}
+	res := newResult(polName, e, w, e.Run(o.Duration))
 	var ppr float64
 	if accessed := e.AccessedSlowPages(); accessed > 0 {
 		ppr = float64(e.UniquePromotedPages()) / float64(accessed)

@@ -84,15 +84,10 @@ func RunDrift(policies []string, shiftEveryS float64, o RunOpts) ([]*DriftResult
 				DriftPeriodS: shiftEveryS,
 				Mode:         DefaultModeFor(pol),
 			}
-			e := newEngine(o)
-			if err := w.Build(e); err != nil {
-				return nil, err
-			}
-			p, err := NewPolicy(pol)
+			e, err := Build(pol, w, o)
 			if err != nil {
 				return nil, err
 			}
-			e.AttachPolicy(p)
 			dr := &DriftResult{Policy: pol}
 			e.Clock().Every(10*simclock.Second, func(now simclock.Time) {
 				cls := classifySnapshot(e, w)

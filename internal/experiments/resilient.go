@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime/debug"
 
-	"chrono/internal/core"
 	"chrono/internal/engine"
 	"chrono/internal/faultinject"
 	"chrono/internal/units"
@@ -19,10 +18,11 @@ import (
 // repro bundle (FailedRun) and the cell is retried a bounded number of
 // times before the sweep records it in its failure manifest and moves on.
 
-// RunSpec identifies one simulation run precisely enough to replay it:
+// CellSpec identifies one sweep cell precisely enough to replay it:
 // feed the same fields back through Run (or `reproduce -faults`) and the
-// deterministic engine reproduces the crash bit-for-bit.
-type RunSpec struct {
+// deterministic engine reproduces the crash bit-for-bit. Its JSON is the
+// durable-cell key (cellKey), so the field tags must never change.
+type CellSpec struct {
 	// Experiment labels the sweep cell, e.g. "pmbench/64GB/rw=50:50".
 	Experiment string `json:"experiment"`
 	// Policy is the registry name passed to NewPolicy.
@@ -43,7 +43,7 @@ type RunSpec struct {
 // the spec to replay it, what stopped it (a panic, the stall watchdog, or
 // a graceful shutdown), and how far the simulation got.
 type FailedRun struct {
-	Spec RunSpec `json:"spec"`
+	Spec CellSpec `json:"spec"`
 	// Attempts is how many times the run was tried (1 + retries).
 	Attempts int `json:"attempts"`
 	// PanicValue is the panic value of the last attempt, stringified —
@@ -100,43 +100,28 @@ func runAttempt(experiment, polName string, w workload.Workload, o RunOpts) (res
 			return done, nil, nil
 		}
 	}
-	e := newEngine(o)
+	var e *engine.Engine
 	defer func() {
 		if v := recover(); v != nil {
 			res, err = nil, nil
-			failed = &FailedRun{
-				Spec:        spec,
-				PanicValue:  fmt.Sprint(v),
-				Stack:       string(debug.Stack()),
-				EventsFired: e.Clock().Fired(),
+			failed = &FailedRun{Spec: spec, PanicValue: fmt.Sprint(v), Stack: string(debug.Stack())}
+			if e != nil {
+				failed.EventsFired = e.Clock().Fired()
 			}
 		}
 	}()
-	if berr := w.Build(e); berr != nil {
-		return nil, nil, fmt.Errorf("build %s: %w", w.Name(), berr)
+	if e, err = Build(polName, w, o); err != nil {
+		return nil, nil, err
 	}
-	pol, perr := NewPolicy(polName)
-	if perr != nil {
-		return nil, nil, perr
+	if dc == nil {
+		return newResult(polName, e, w, e.Run(o.Duration)), nil, nil
 	}
-	e.AttachPolicy(pol)
-	var m *engine.Metrics
-	if dc != nil {
-		m, failed, err = dc.run(e, o)
-		if err != nil || failed != nil {
-			return nil, failed, err
-		}
-	} else {
-		m = e.Run(o.Duration)
+	m, failed, err := dc.run(e, o)
+	if err != nil || failed != nil {
+		return nil, failed, err
 	}
-	res = &Result{Policy: polName, Metrics: m, Engine: e, Workload: w}
-	if c, ok := pol.(*core.Chrono); ok {
-		res.Chrono = c
-	}
-	if dc != nil {
-		dc.markDone(m)
-	}
-	return res, nil, nil
+	dc.markDone(m)
+	return newResult(polName, e, w, m), nil, nil
 }
 
 // ResilientRun executes one simulation with crash capture and bounded

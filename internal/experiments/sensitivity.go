@@ -110,10 +110,5 @@ func runPolicyInstance(pol policy.Policy, w workload.Workload, o RunOpts) (*Resu
 		return nil, err
 	}
 	e.AttachPolicy(pol)
-	m := e.Run(o.Duration)
-	res := &Result{Policy: pol.Name(), Metrics: m, Engine: e, Workload: w}
-	if c, ok := pol.(*core.Chrono); ok {
-		res.Chrono = c
-	}
-	return res, nil
+	return newResult(pol.Name(), e, w, e.Run(o.Duration)), nil
 }

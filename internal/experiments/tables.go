@@ -6,8 +6,8 @@ import (
 	"chrono/internal/report"
 )
 
-// This file renders the paper's static tables and provides the shared
-// engine constructor.
+// This file renders the paper's static tables and the per-run metrics
+// table, and provides the shared engine constructor.
 
 // newEngine builds an engine from RunOpts (already defaulted).
 func newEngine(o RunOpts) *engine.Engine {
@@ -21,6 +21,42 @@ func newEngine(o RunOpts) *engine.Engine {
 		Shards:       o.Shards,
 		ShardWorkers: o.ShardWorkers,
 	})
+}
+
+// MetricsTable renders one run in the metrics layout shared by
+// chronosim's output, chronod's final table.txt and its live dump: the
+// counter and rate rows, then — unless live — the hot-page scores and a
+// Chrono policy's tuning state. Row labels are a stable interface; tools
+// parse them.
+func MetricsTable(title string, res *Result, live bool) *report.Table {
+	m := res.Metrics
+	t := report.NewTable(title, "Metric", "Value")
+	t.AddRow("Throughput (Mop/s)", m.Throughput())
+	t.AddRow("FMAR (%)", m.FMAR()*100)
+	t.AddRow("Avg latency (ns)", m.Lat.Mean())
+	t.AddRow("P50 latency (ns)", m.Lat.Percentile(0.5))
+	t.AddRow("P99 latency (ns)", m.Lat.Percentile(0.99))
+	t.AddRow("Kernel time (%)", m.KernelTimeFrac()*100)
+	t.AddRow("Context switches (/s)", m.ContextSwitchRate())
+	t.AddRow("Hint faults", m.Faults)
+	t.AddRow("Promotions (pages)", m.Promotions)
+	t.AddRow("Demotions (pages)", m.Demotions)
+	t.AddRow("Migrated (GB)", m.MigratedBytes/1e9)
+	if live {
+		return t
+	}
+	cls, f1, ppr := Score(res)
+	t.AddRow("F1-score", f1)
+	t.AddRow("Precision", cls.Precision())
+	t.AddRow("Recall", cls.Recall())
+	t.AddRow("PPR", ppr)
+	if c, ok := res.Engine.Policy().(*core.Chrono); ok {
+		t.AddRow("CIT threshold (ms)", c.ThresholdMS())
+		t.AddRow("Rate limit (MB/s)", c.RateLimitMBps())
+		t.AddRow("Thrash events", c.ThrashTotal)
+		t.AddRow("DCSC samples", c.DCSCSamples)
+	}
+	return t
 }
 
 // Table1 renders the solution-characteristics comparison (paper Table 1).

@@ -1,7 +1,7 @@
-// Package watchdog is the host-side stall detector shared by durable
-// sweep cells (internal/experiments) and daemon-hosted runs
-// (internal/daemon): a goroutine polls a sim-time watermark on the wall
-// clock and escalates in two stages when it freezes.
+// Package watchdog is the host-side stall detector of
+// experiments.Supervise, the run driver behind both durable sweep cells
+// and daemon-hosted runs: a goroutine polls a sim-time watermark on the
+// wall clock and escalates in two stages when it freezes.
 //
 //   - Soft stall (frozen for Timeout): the soft flag is set. The run's
 //     event hook observes it at the next event boundary, checkpoints, and
