@@ -13,6 +13,7 @@ package chrono_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"chrono/internal/core"
@@ -628,17 +629,47 @@ func BenchmarkCgroupReclaim(b *testing.B) {
 
 // BenchmarkAdversarialOscillation is the anti-thrashing tier-1 case: the
 // capacity-breathing scenario under the transactional baseline (Nomad's
-// shadow bookkeeping on the migration hot path) and Chrono with and
-// without the thrash guard (the guard's admission gate interposes on
-// every promotion, so its overhead shows up here first). ns/op tracks
-// simulator cost; the custom metrics carry the robustness results.
+// shadow bookkeeping on the migration hot path), the sampled baselines
+// whose background cycles dominate the sweep's wall time (Memtis ±guard,
+// FlexMem), TPP, and Chrono with and without the thrash guard (the
+// guard's admission gate interposes on every promotion, so its overhead
+// shows up here first). ns/op tracks simulator cost; the custom metrics
+// carry the robustness results.
 func BenchmarkAdversarialOscillation(b *testing.B) {
-	for _, pol := range []string{"Nomad", "Chrono", "Chrono+guard"} {
+	for _, pol := range []string{"Nomad", "Chrono", "Chrono+guard", "Memtis", "Memtis+guard", "FlexMem", "TPP"} {
 		b.Run(pol, func(b *testing.B) {
 			res := runAndReport(b, pol, func() workload.Workload {
 				return &workload.Oscillation{}
 			})
 			b.ReportMetric(res.Metrics.MigratedBytes/(1<<30), "migGB")
+		})
+	}
+}
+
+// BenchmarkPolicyCycle times the background cycles of each adversarial
+// policy on a warmed engine under capacity oscillation. Each op builds
+// and warms a fresh engine off the clock, then times one 40 s window:
+// twenty 2 s migrate periods (the Memtis/FlexMem cycle; the other
+// policies run their scans and daemons over the same window), and the
+// least common multiple of the 10 s oscillation and the 8 s PEBS
+// cooling. Every op replays identical work, so ns/op and allocs/op do
+// not drift with b.N.
+func BenchmarkPolicyCycle(b *testing.B) {
+	const window = 40 * simclock.Second
+	for _, pol := range experiments.AdversarialPolicies {
+		b.Run(pol, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC() // collect the previous op's engine off the clock
+				e, err := experiments.Build(pol, &workload.Oscillation{}, benchOpts(42))
+				if err != nil {
+					b.Fatal(err)
+				}
+				e.Run(window)
+				b.StartTimer()
+				e.Run(window)
+			}
 		})
 	}
 }

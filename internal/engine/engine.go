@@ -59,6 +59,9 @@ const (
 	GapExp
 )
 
+// DefaultMigrationBW is Config.MigrationBWBytes's default: 1.2 GB/s.
+const DefaultMigrationBW units.BytesPerSec = 1.2e9
+
 // Config parameterizes a simulation run.
 type Config struct {
 	// Seed drives all randomness. Same seed, same results.
@@ -119,7 +122,7 @@ type Config struct {
 	// unmap + copy + TLB shootdown, contending with demand traffic on
 	// the slow media). Migrations beyond the budget fail and must be
 	// retried — exactly how synchronous NUMA-fault promotion behaves
-	// under pressure. Default 1.2 GB/s.
+	// under pressure. Default DefaultMigrationBW.
 	MigrationBWBytes units.BytesPerSec
 
 	// DebugChecks enables the invariant sanitizer (see sanitize.go): the
@@ -214,7 +217,7 @@ func (cfg Config) withDefaults() Config {
 		cfg.CostScale = 262144 / float64(cfg.PagesPerGB)
 	}
 	if cfg.MigrationBWBytes == 0 {
-		cfg.MigrationBWBytes = 1.2e9
+		cfg.MigrationBWBytes = DefaultMigrationBW
 	}
 	if cfg.HugeFactor == 0 {
 		cfg.HugeFactor = 64

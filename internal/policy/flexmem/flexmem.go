@@ -14,8 +14,10 @@
 package flexmem
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"chrono/internal/mem"
@@ -87,11 +89,27 @@ type Policy struct {
 	// TransientSkips counts hot pages skipped in a background batch
 	// after repeated transient migration aborts (retried next cycle).
 	TransientSkips int64 //chrono:state TransientSkips
+
+	scratch scratch          //chrono:rebuilt per-cycle scratch, refilled by every background pass
+	work    policy.CycleWork //chrono:rebuilt test instrumentation, never read by a decision
+}
+
+// scratch is the background pass's reusable per-cycle storage: a
+// steady-state cycle allocates nothing.
+type scratch struct {
+	groups            policy.ProcGroups
+	hist              pebs.Histogram
+	binSize           []int64
+	hotSlow, coldFast []*vm.Page
 }
 
 // New returns a FlexMem policy.
 func New(cfg Config) *Policy {
-	return &Policy{cfg: cfg.withDefaults(), hotBin: make(map[*vm.Process]int)}
+	cfg = cfg.withDefaults()
+	return &Policy{cfg: cfg, hotBin: make(map[*vm.Process]int), scratch: scratch{
+		hist:    pebs.Histogram{Bins: make([]int64, cfg.NBins)},
+		binSize: make([]int64, cfg.NBins),
+	}}
 }
 
 // Name implements policy.Policy.
@@ -229,39 +247,20 @@ func (p *Policy) OnFault(pg *vm.Page, now simclock.Time) {
 // background recomputes per-process histograms/thresholds and migrates
 // like Memtis's kmigrated.
 func (p *Policy) background() {
-	byProc := make(map[*vm.Process][]*vm.Page)
-	var totalResident int64
-	for _, pg := range p.k.Pages() {
-		if pg == nil {
-			continue
-		}
-		byProc[pg.Proc] = append(byProc[pg.Proc], pg)
-		totalResident += int64(pg.Size)
-	}
+	sc := &p.scratch
+	totalResident := sc.groups.Group(p.k.Pages())
 	if totalResident == 0 {
 		return
 	}
 	fastCap := p.k.Node().Capacity(mem.FastTier)
 	budget := p.cfg.MigrateBatch
-
-	// The shared migration budget is consumed in process order, so the
-	// order must not depend on map iteration: sort by PID, then rotate
-	// the starting point each cycle so no process is systematically
-	// first in line.
-	procs := make([]*vm.Process, 0, len(byProc))
-	//chrono:ordered-irrelevant keys are sorted immediately below
-	for proc := range byProc {
-		procs = append(procs, proc)
-	}
-	sort.Slice(procs, func(i, j int) bool { return procs[i].PID < procs[j].PID })
 	p.cycles++
-	start := p.cycles % len(procs)
+	p.work.Cycles++
 
-	for i := range procs {
-		proc := procs[(start+i)%len(procs)]
-		pages := byProc[proc]
-		hist := pebs.NewHistogram(p.cfg.NBins)
-		binSize := make([]int64, p.cfg.NBins)
+	for _, grp := range sc.groups.Order(p.cycles) {
+		pages := grp.Pages
+		clear(sc.hist.Bins)
+		clear(sc.binSize)
 		var resident int64
 		for _, pg := range pages {
 			c := p.sampler.Counter(pg.ID)
@@ -269,38 +268,43 @@ func (p *Policy) background() {
 			if b >= p.cfg.NBins {
 				b = p.cfg.NBins - 1
 			}
-			hist.Add(c)
-			binSize[b] += int64(pg.Size)
+			sc.hist.Add(c)
+			sc.binSize[b] += int64(pg.Size)
 			resident += int64(pg.Size)
 		}
 		share := fastCap * resident / totalResident
-		hotBin := hist.HotThresholdBin(share, func(b int) int64 { return binSize[b] })
-		p.hotBin[proc] = hotBin
+		hotBin := sc.hist.HotThresholdBin(share, func(b int) int64 { return sc.binSize[b] })
+		p.hotBin[grp.Proc] = hotBin
 
-		var hotSlow, coldFast []*vm.Page
+		sc.hotSlow, sc.coldFast = sc.hotSlow[:0], sc.coldFast[:0]
 		for _, pg := range pages {
 			b := pebs.BinOf(p.sampler.Counter(pg.ID))
 			switch {
 			case pg.Tier == mem.SlowTier && b >= hotBin:
-				hotSlow = append(hotSlow, pg)
+				sc.hotSlow = append(sc.hotSlow, pg)
 			case pg.Tier == mem.FastTier && b < hotBin:
-				coldFast = append(coldFast, pg)
+				sc.coldFast = append(sc.coldFast, pg)
 			}
 		}
-		sort.Slice(hotSlow, func(i, j int) bool {
-			return p.sampler.Counter(hotSlow[i].ID) > p.sampler.Counter(hotSlow[j].ID)
+		p.work.ColdBuilds++
+		p.work.MaxBuilds = max(p.work.MaxBuilds, 1)
+		p.work.Visited += int64(len(pages))
+		// No tie-break: equal counters keep pdqsort's order, which
+		// FlexMem's published results depend on.
+		slices.SortFunc(sc.hotSlow, func(a, b *vm.Page) int {
+			return cmp.Compare(p.sampler.Counter(b.ID), p.sampler.Counter(a.ID))
 		})
-		sort.Slice(coldFast, func(i, j int) bool {
-			return p.sampler.Counter(coldFast[i].ID) < p.sampler.Counter(coldFast[j].ID)
+		slices.SortFunc(sc.coldFast, func(a, b *vm.Page) int {
+			return cmp.Compare(p.sampler.Counter(a.ID), p.sampler.Counter(b.ID))
 		})
 		node := p.k.Node()
 		di := 0
-		for _, pg := range hotSlow {
+		for _, pg := range sc.hotSlow {
 			if budget < int(pg.Size) {
 				break
 			}
-			for node.Free(mem.FastTier) < node.Watermarks(mem.FastTier).High+int64(pg.Size) && di < len(coldFast) {
-				policy.RetryDemote(p.k, coldFast[di], 2)
+			for node.Free(mem.FastTier) < node.Watermarks(mem.FastTier).High+int64(pg.Size) && di < len(sc.coldFast) {
+				policy.RetryDemote(p.k, sc.coldFast[di], 2)
 				di++
 			}
 			switch policy.RetryPromote(p.k, pg, 2) {
@@ -312,5 +316,6 @@ func (p *Policy) background() {
 				p.TransientSkips++
 			}
 		}
+		p.work.Visited += int64(di)
 	}
 }

@@ -13,8 +13,9 @@
 package memtis
 
 import (
+	"cmp"
 	"encoding/json"
-	"sort"
+	"slices"
 
 	"chrono/internal/mem"
 	"chrono/internal/pebs"
@@ -83,10 +84,30 @@ type Policy struct {
 	// TransientSkips counts hot pages skipped in a kmigrated batch after
 	// repeated transient migration aborts (retried next cycle).
 	TransientSkips int64 //chrono:state TransientSkips
+
+	scratch scratch          //chrono:rebuilt per-cycle scratch, refilled by every kmigrated
+	work    policy.CycleWork //chrono:rebuilt test instrumentation, never read by a decision
+}
+
+// scratch is kmigrated's reusable per-cycle storage: a steady-state
+// cycle allocates nothing.
+type scratch struct {
+	groups  policy.ProcGroups
+	hist    pebs.Histogram
+	binSize []int64
+	hotSlow []*vm.Page
+	huge    []*vm.Page
+	cold    coldList
 }
 
 // New returns a Memtis policy.
-func New(cfg Config) *Policy { return &Policy{cfg: cfg.withDefaults()} }
+func New(cfg Config) *Policy {
+	cfg = cfg.withDefaults()
+	return &Policy{cfg: cfg, scratch: scratch{
+		hist:    pebs.Histogram{Bins: make([]int64, cfg.NBins)},
+		binSize: make([]int64, cfg.NBins),
+	}}
+}
 
 // Name implements policy.Policy.
 func (p *Policy) Name() string { return "Memtis" }
@@ -168,67 +189,48 @@ func (p *Policy) OnPageFreed(pg *vm.Page) { p.sampler.Clear(pg.ID) }
 
 // kmigrated is the background classification + migration cycle.
 func (p *Policy) kmigrated() {
-	// Group resident pages by process.
-	byProc := make(map[*vm.Process][]*vm.Page)
-	var totalResident int64
-	for _, pg := range p.k.Pages() {
-		if pg == nil {
-			continue
-		}
-		byProc[pg.Proc] = append(byProc[pg.Proc], pg)
-		totalResident += int64(pg.Size)
-	}
+	sc := &p.scratch
+	totalResident := sc.groups.Group(p.k.Pages())
 	if totalResident == 0 {
 		return
 	}
 	fastCap := p.k.Node().Capacity(mem.FastTier)
 	budget := p.cfg.MigrateBatch
-
-	// The shared migration budget is consumed in process order, so the
-	// order must not depend on map iteration: sort by PID, then rotate
-	// the starting point each cycle so no process is systematically
-	// first in line (kernel cgroup walks resume round-robin the same
-	// way; unrotated, the lowest PID would hoard the budget).
-	procs := make([]*vm.Process, 0, len(byProc))
-	//chrono:ordered-irrelevant keys are sorted immediately below
-	for proc := range byProc {
-		procs = append(procs, proc)
-	}
-	sort.Slice(procs, func(i, j int) bool { return procs[i].PID < procs[j].PID })
 	p.cycles++
-	start := p.cycles % len(procs)
+	p.work.Cycles++
 
-	for i := range procs {
-		proc := procs[(start+i)%len(procs)]
-		pages := byProc[proc]
+	for _, grp := range sc.groups.Order(p.cycles) {
+		pages := grp.Pages
 		// Per-process histogram of counter bins weighted by page size.
-		hist := pebs.NewHistogram(p.cfg.NBins)
-		binSize := make([]int64, p.cfg.NBins)
+		clear(sc.hist.Bins)
+		clear(sc.binSize)
 		var resident int64
 		for _, pg := range pages {
 			b := pebs.BinOf(p.sampler.Counter(pg.ID))
 			if b >= p.cfg.NBins {
 				b = p.cfg.NBins - 1
 			}
-			hist.Add(p.sampler.Counter(pg.ID))
-			binSize[b] += int64(pg.Size)
+			sc.hist.Add(p.sampler.Counter(pg.ID))
+			sc.binSize[b] += int64(pg.Size)
 			resident += int64(pg.Size)
 		}
 		// The process's DRAM entitlement is its proportional share.
 		share := fastCap * resident / totalResident
-		hotBin := hist.HotThresholdBin(share, func(b int) int64 { return binSize[b] })
+		hotBin := sc.hist.HotThresholdBin(share, func(b int) int64 { return sc.binSize[b] })
 
 		// Promote hot slow-tier pages, hottest first.
-		var hotSlow []*vm.Page
+		sc.hotSlow = sc.hotSlow[:0]
 		for _, pg := range pages {
 			if pg.Tier == mem.SlowTier && pebs.BinOf(p.sampler.Counter(pg.ID)) >= hotBin {
-				hotSlow = append(hotSlow, pg)
+				sc.hotSlow = append(sc.hotSlow, pg)
 			}
 		}
-		sort.Slice(hotSlow, func(i, j int) bool {
-			return p.sampler.Counter(hotSlow[i].ID) > p.sampler.Counter(hotSlow[j].ID)
+		slices.SortFunc(sc.hotSlow, func(a, b *vm.Page) int {
+			return cmp.Compare(p.sampler.Counter(b.ID), p.sampler.Counter(a.ID))
 		})
-		for _, pg := range hotSlow {
+		sc.cold.built = false
+		builds := p.work.ColdBuilds
+		for _, pg := range sc.hotSlow {
 			if budget < int(pg.Size) {
 				break
 			}
@@ -243,38 +245,96 @@ func (p *Policy) kmigrated() {
 				p.TransientSkips++
 			}
 		}
+		p.work.MaxBuilds = max(p.work.MaxBuilds, p.work.ColdBuilds-builds)
 
 		// Conservative splitting of the hottest fast-tier huge pages.
 		p.splitHot(pages, hotBin)
 	}
 }
 
-// demoteForSpace demotes warm/cold fast-tier pages of the process when the
-// fast tier lacks headroom for an incoming promotion.
+// demoteForSpace demotes warm/cold fast-tier pages of the process,
+// coldest first, when the fast tier lacks headroom for an incoming
+// promotion. The process's cold list is built on the first call of the
+// cycle that needs space and walked on from there by later calls.
 func (p *Policy) demoteForSpace(pages []*vm.Page, hotBin int, need int64) {
 	node := p.k.Node()
 	if node.Free(mem.FastTier) >= node.Watermarks(mem.FastTier).High+need {
 		return
 	}
-	// Coldest first.
-	var fast []*vm.Page
+	cold := &p.scratch.cold
+	if !cold.built {
+		cold.build(pages, p.sampler, hotBin)
+		p.work.ColdBuilds++
+		p.work.Visited += int64(len(pages))
+	}
+	p.work.Visited += int64(cold.demote(p.k, need))
+}
+
+// coldList is one process's cold fast-tier pages for the current
+// kmigrated cycle, coldest first, walked by a cursor across the cycle's
+// promotions. Counters do not change within a cycle and promoted pages
+// are hot, so one sort serves every promotion of the cycle: a fresh sort
+// at any later call would yield exactly the pages still listed here, in
+// this order. pages[:kept] are earlier failed demotions, retried first;
+// pages[next:] have not been tried yet.
+type coldList struct {
+	pages      []*vm.Page
+	kept, next int
+	built      bool
+}
+
+// build lists the fast-tier pages below hotBin, ordered by counter
+// ascending with ties broken by page ID, so the order is a total one
+// that does not depend on the sort algorithm.
+func (c *coldList) build(pages []*vm.Page, s *pebs.Sampler, hotBin int) {
+	c.pages = c.pages[:0]
 	for _, pg := range pages {
-		if pg.Tier == mem.FastTier && pebs.BinOf(p.sampler.Counter(pg.ID)) < hotBin {
-			fast = append(fast, pg)
+		if pg.Tier == mem.FastTier && pebs.BinOf(s.Counter(pg.ID)) < hotBin {
+			c.pages = append(c.pages, pg)
 		}
 	}
-	sort.Slice(fast, func(i, j int) bool {
-		return p.sampler.Counter(fast[i].ID) < p.sampler.Counter(fast[j].ID)
+	slices.SortFunc(c.pages, func(a, b *vm.Page) int {
+		return cmp.Or(cmp.Compare(s.Counter(a.ID), s.Counter(b.ID)), cmp.Compare(a.ID, b.ID))
 	})
+	c.kept, c.next, c.built = 0, 0, true
+}
+
+// demote demotes listed pages in order until need base pages are freed
+// or the list runs out, and returns the number of entries visited. Pages
+// that left the fast tier since the build are dropped; pages whose
+// demotion fails stay listed, ahead of the untried ones, so the next
+// call retries them first.
+func (c *coldList) demote(k policy.Migrator, need int64) (visited int) {
 	var freed int64
-	for _, pg := range fast {
-		if freed >= need {
-			return
+	w, r := 0, 0 // w: failed pages kept so far; r: next entry to read
+	for freed < need {
+		if r == c.kept && r < c.next {
+			r = c.next // earlier failures done; continue with untried pages
 		}
-		if policy.RetryDemote(p.k, pg, 2) == policy.MigrateOK {
+		if r == len(c.pages) {
+			break
+		}
+		pg := c.pages[r]
+		r++
+		visited++
+		switch {
+		case pg.Tier != mem.FastTier:
+			// Already demoted (by kernel reclaim): drop it.
+		case policy.RetryDemote(k, pg, 2) == policy.MigrateOK:
 			freed += int64(pg.Size)
+		default:
+			c.pages[w] = pg
+			w++
 		}
 	}
+	if r <= c.kept {
+		// Stopped among earlier failures: close the gap behind them.
+		w += copy(c.pages[w:], c.pages[r:c.kept])
+		c.kept = w
+	} else {
+		c.kept, c.next = w, r
+	}
+	return visited
 }
 
 // splitHot splits up to SplitBudget of the process's hottest
@@ -282,15 +342,16 @@ func (p *Policy) demoteForSpace(pages []*vm.Page, hotBin int, need int64) {
 // accesses concentrated in a fraction of the region — letting subsequent
 // sampling separate their hot and cold base regions.
 func (p *Policy) splitHot(pages []*vm.Page, hotBin int) {
-	var huge []*vm.Page
+	huge := p.scratch.huge[:0]
 	for _, pg := range pages {
 		if pg.IsHuge() && pebs.BinOf(p.sampler.Counter(pg.ID)) >= hotBin+2 &&
 			p.k.HugeUtilization(pg) < 0.6 {
 			huge = append(huge, pg)
 		}
 	}
-	sort.Slice(huge, func(i, j int) bool {
-		return p.sampler.Counter(huge[i].ID) > p.sampler.Counter(huge[j].ID)
+	p.scratch.huge = huge
+	slices.SortFunc(huge, func(a, b *vm.Page) int {
+		return cmp.Compare(p.sampler.Counter(b.ID), p.sampler.Counter(a.ID))
 	})
 	for i := 0; i < len(huge) && i < p.cfg.SplitBudget; i++ {
 		pg := huge[i]

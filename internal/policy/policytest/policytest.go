@@ -11,6 +11,7 @@ import (
 	"chrono/internal/mem"
 	"chrono/internal/policy"
 	"chrono/internal/simclock"
+	"chrono/internal/units"
 	"chrono/internal/vm"
 )
 
@@ -30,7 +31,20 @@ type World struct {
 // region, so a correct policy must migrate.
 func Build(t *testing.T, pol policy.Policy, total, hot uint64, mode engine.PageSizeMode) *World {
 	t.Helper()
-	e := engine.New(engine.Config{Seed: 77, FastGB: 4, SlowGB: 12})
+	return BuildScaled(t, pol, 1, total, hot, mode)
+}
+
+// BuildScaled is Build with both tiers and the migration bandwidth
+// scaled by factor scale (scale×4 GB fast + scale×12 GB slow), for tests
+// that compare a policy's work across table sizes.
+func BuildScaled(t testing.TB, pol policy.Policy, scale int, total, hot uint64, mode engine.PageSizeMode) *World {
+	t.Helper()
+	e := engine.New(engine.Config{
+		Seed:             77,
+		FastGB:           units.GB(4 * scale),
+		SlowGB:           units.GB(12 * scale),
+		MigrationBWBytes: units.BytesPerSec(scale) * engine.DefaultMigrationBW,
+	})
 	p := vm.NewProcess(1, "wl", total)
 	start := p.VMAs()[0].Start
 	for i := uint64(0); i < total; i++ {
@@ -48,6 +62,15 @@ func Build(t *testing.T, pol policy.Policy, total, hot uint64, mode engine.PageS
 	}
 	e.AttachPolicy(pol)
 	return &World{Engine: e, Proc: p, HotPages: hot, HotWeight: 50}
+}
+
+// Pressured builds a base-page world at the given scale whose footprint
+// is twice the fast tier, with the hot quarter starting in the slow tier:
+// every promotion needs a demotion first. Tests of how a policy's cycle
+// cost grows with the table compare Pressured worlds at two scales.
+func Pressured(t testing.TB, pol policy.Policy, scale int) *World {
+	t.Helper()
+	return BuildScaled(t, pol, scale, uint64(2048*scale), uint64(512*scale), engine.BasePages)
 }
 
 // Run advances virtual time.

@@ -10,16 +10,16 @@ import (
 // degrade gracefully under transient migration failure instead of
 // stalling or silently losing work.
 
-// migrator is the slice of Kernel the inline retry helpers need; tests
+// Migrator is the slice of Kernel the inline retry helpers need; tests
 // can satisfy it with a two-method fake.
-type migrator interface {
+type Migrator interface {
 	TryPromote(pg *vm.Page) MigrateResult
 	TryDemote(pg *vm.Page) MigrateResult
 }
 
 // backoffKernel adds the clock needed for sim-time deferred retries.
 type backoffKernel interface {
-	migrator
+	Migrator
 	Clock() *simclock.Clock
 }
 
@@ -28,7 +28,7 @@ type backoffKernel interface {
 // loop, which re-tries a busy page a bounded number of times within one
 // call before reporting failure. Capacity exhaustion is returned
 // immediately — retrying it without freeing memory cannot succeed.
-func RetryPromote(k migrator, pg *vm.Page, attempts int) MigrateResult {
+func RetryPromote(k Migrator, pg *vm.Page, attempts int) MigrateResult {
 	res := k.TryPromote(pg)
 	for i := 1; i < attempts && res == MigrateTransient; i++ {
 		res = k.TryPromote(pg)
@@ -37,7 +37,7 @@ func RetryPromote(k migrator, pg *vm.Page, attempts int) MigrateResult {
 }
 
 // RetryDemote is RetryPromote toward the slow tier.
-func RetryDemote(k migrator, pg *vm.Page, attempts int) MigrateResult {
+func RetryDemote(k Migrator, pg *vm.Page, attempts int) MigrateResult {
 	res := k.TryDemote(pg)
 	for i := 1; i < attempts && res == MigrateTransient; i++ {
 		res = k.TryDemote(pg)
