@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-suggest lint-sarif lint-budget bench-snapshot bench-diff simdebug chaos bench resume-check daemon-smoke results-drift check clean
+.PHONY: build test race vet lint lint-suggest lint-sarif lint-budget bench-snapshot bench-diff simdebug chaos bench fuzz resume-check daemon-smoke results-drift check clean
 
 build:
 	$(GO) build ./...
@@ -87,6 +87,14 @@ COUNT ?= 1
 BENCHTIME ?= 1s
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(COUNT) ./...
+
+# Differential fuzzers: the checkpoint envelope's fast Load path and the
+# page-table fast decoder, each against its encoding/json reference (same
+# error, same value, never a panic). The seed corpora under testdata/fuzz/
+# also run as plain tests in `make test`.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/checkpoint/
+	$(GO) test -run '^$$' -fuzz '^FuzzPageTableStateDecode$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/engine/
 
 # Kill-and-resume fence: run a quick sweep with -checkpoint-dir, SIGKILL
 # it mid-flight, rerun with -resume, and require stdout byte-identical to

@@ -13,9 +13,12 @@ package chrono_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
+	"chrono/internal/checkpoint"
 	"chrono/internal/core"
 	"chrono/internal/engine"
 	"chrono/internal/experiments"
@@ -672,6 +675,80 @@ func BenchmarkPolicyCycle(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCheckpoint times the checkpoint layer on the engine chronod
+// pauses in the redis-chronod benchmark workload: Redis 1:1 SET:GET at
+// 4096 pages/GB under Chrono, paused after 30 s virtual. Snapshot is
+// Engine.Snapshot; Save is checkpoint.Save of the snapshot (marshal,
+// CRC, write, fsync, rename); Load is checkpoint.Load of the file;
+// Restore overlays the loaded state onto a freshly built engine, with
+// the build and the load off the clock. MB/s is over the checkpoint
+// file's bytes.
+func BenchmarkCheckpoint(b *testing.B) {
+	build := func() *engine.Engine {
+		w := &workload.KVStore{Flavor: workload.Redis, StoreGB: 160, SetRatio: 1, GetRatio: 1, Mode: engine.BasePages}
+		e, err := experiments.Build("Chrono", w, experiments.RunOpts{Seed: 42, PagesPerGB: 4096})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return e
+	}
+	e := build()
+	e.Run(30 * simclock.Second)
+	st, err := e.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "engine.ckpt")
+	if err := checkpoint.Save(path, st); err != nil {
+		b.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// run times op, which prep sets up off the clock. Every op starts
+	// from a collected heap with empty sync.Pools (the second GC drops
+	// the pools' victim caches, where encoding/json keeps its buffers),
+	// so allocs/op are the same at any b.N.
+	run := func(name string, prep func(b *testing.B) (op func() error)) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(fi.Size())
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC()
+				runtime.GC()
+				op := prep(b)
+				b.StartTimer()
+				if err := op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	load := func(b *testing.B) *engine.EngineState {
+		var got engine.EngineState
+		if err := checkpoint.Load(path, &got); err != nil {
+			b.Fatal(err)
+		}
+		return &got
+	}
+	run("Snapshot", func(*testing.B) func() error {
+		return func() error { _, err := e.Snapshot(); return err }
+	})
+	e = nil
+	run("Save", func(*testing.B) func() error {
+		return func() error { return checkpoint.Save(path, st) }
+	})
+	st = nil
+	run("Load", func(b *testing.B) func() error {
+		return func() error { load(b); return nil }
+	})
+	run("Restore", func(b *testing.B) func() error {
+		fresh, snap := build(), load(b)
+		return func() error { return fresh.Restore(snap) }
+	})
 }
 
 // BenchmarkDriftAdaptivity measures placement recovery under a moving

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -381,16 +382,38 @@ func TestReconfigureRollsBackOnBadValue(t *testing.T) {
 // the same dance with a real kill -9.
 func TestCrashRecoveryByteIdentical(t *testing.T) {
 	setBuildHook(t, pace(300*time.Microsecond))
-	cfg := `{"checkpoint_interval_s": 0.01, "stall_timeout_s": -1}`
+	refTable, dir, id := crashWithCheckpoint(t, nil)
 
-	refDir := t.TempDir()
-	dRef := newTestDaemon(t, refDir, cfg)
+	dB := newTestDaemon(t, dir, crashCfg)
+	info := waitState(t, dB, id, StateDone)
+	if info.ID != id {
+		t.Fatalf("recovered id %s, want %s", info.ID, id)
+	}
+	gotTable := dB.Status(id).Table
+	if gotTable == "" || !bytes.Equal([]byte(gotTable), []byte(refTable)) {
+		t.Fatalf("resumed table differs from uninterrupted run:\n--- ref\n%s\n--- got\n%s", refTable, gotTable)
+	}
+}
+
+// crashCfg checkpoints often enough that a paced run has a snapshot on
+// disk within milliseconds.
+const crashCfg = `{"checkpoint_interval_s": 0.01, "stall_timeout_s": -1}`
+
+// crashWithCheckpoint runs testSpec to completion for a reference table,
+// then submits it again in a fresh state directory, drains that daemon
+// once a periodic checkpoint exists, and rewrites the record to what
+// kill -9 leaves behind: state "running", passed through edit first
+// when non-nil. It returns the reference table, the state directory and
+// the run's ID; a daemon started on dir resumes the run.
+func crashWithCheckpoint(t *testing.T, edit func(*runRecord)) (refTable, dir, id string) {
+	t.Helper()
+	dRef := newTestDaemon(t, t.TempDir(), crashCfg)
 	ref := dRef.Submit(testSpec())
 	waitState(t, dRef, ref.ID, StateDone)
-	refTable := dRef.Status(ref.ID).Table
+	refTable = dRef.Status(ref.ID).Table
 
-	dir := t.TempDir()
-	dA := newTestDaemon(t, dir, cfg)
+	dir = t.TempDir()
+	dA := newTestDaemon(t, dir, crashCfg)
 	sub := dA.Submit(testSpec())
 	rA, _ := dA.get(sub.ID)
 	deadline := time.Now().Add(60 * time.Second) //chrono:wallclock test deadline
@@ -417,18 +440,67 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.State = StateRunning
+	if edit != nil {
+		edit(&rec)
+	}
 	if err := checkpoint.Save(rA.recordPath(), rec); err != nil {
 		t.Fatal(err)
 	}
+	return refTable, dir, sub.ID
+}
 
-	dB := newTestDaemon(t, dir, cfg)
-	info := waitState(t, dB, sub.ID, StateDone)
-	if info.ID != sub.ID {
-		t.Fatalf("recovered id %s, want %s", info.ID, sub.ID)
+// countBuilds installs the pacing hook and counts engine builds.
+func countBuilds(t *testing.T) *atomic.Int32 {
+	t.Helper()
+	var n atomic.Int32
+	paced := pace(300 * time.Microsecond)
+	setBuildHook(t, func(e *engine.Engine) {
+		n.Add(1)
+		paced(e)
+	})
+	return &n
+}
+
+// A resume whose checkpoint names another policy than the record (a
+// crash between a live swap's record update and its checkpoint) builds
+// one engine, under the checkpoint's policy, and finishes byte-identical
+// to the uninterrupted run.
+func TestResumeBuildsOnceUnderCheckpointPolicy(t *testing.T) {
+	builds := countBuilds(t)
+	refTable, dir, id := crashWithCheckpoint(t, func(rec *runRecord) { rec.Policy = "Memtis" })
+
+	builds.Store(0)
+	dB := newTestDaemon(t, dir, crashCfg)
+	info := waitState(t, dB, id, StateDone)
+	if info.Policy != testSpec().Policy {
+		t.Fatalf("resumed under %s, want the checkpoint's %s", info.Policy, testSpec().Policy)
 	}
-	gotTable := dB.Status(sub.ID).Table
-	if gotTable == "" || !bytes.Equal([]byte(gotTable), []byte(refTable)) {
-		t.Fatalf("resumed table differs from uninterrupted run:\n--- ref\n%s\n--- got\n%s", refTable, gotTable)
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("resume built %d engines, want 1", n)
+	}
+	if got := dB.Status(id).Table; got != refTable {
+		t.Fatalf("resumed table differs from uninterrupted run:\n--- ref\n%s\n--- got\n%s", refTable, got)
+	}
+}
+
+// A resume from a checkpoint that does not load replays from scratch
+// without first building an engine for it.
+func TestStaleCheckpointCostsNoBuild(t *testing.T) {
+	builds := countBuilds(t)
+	refTable, dir, id := crashWithCheckpoint(t, nil)
+	ckpt := filepath.Join(dir, "runs", id, "engine.ckpt")
+	if err := os.WriteFile(ckpt, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	builds.Store(0)
+	dB := newTestDaemon(t, dir, crashCfg)
+	waitState(t, dB, id, StateDone)
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("replay after a stale checkpoint built %d engines, want 1", n)
+	}
+	if got := dB.Status(id).Table; got != refTable {
+		t.Fatalf("replayed table differs from uninterrupted run:\n--- ref\n%s\n--- got\n%s", refTable, got)
 	}
 }
 

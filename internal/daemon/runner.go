@@ -156,6 +156,24 @@ var errStaleSnapshot = errors.New("daemon: snapshot not restorable")
 // over; the caller charges it to the run only once the whole swap
 // (including its sysctl stage) has succeeded.
 func (d *Daemon) prepare(r *run, polName string, snap *engine.EngineState, swap bool) (_ *engine.Engine, _ workload.Workload, dropped int, _ error) {
+	// The on-disk checkpoint is loaded before the build: a stale one
+	// must not cost a build, and its policy decides what to build.
+	var disk *engine.EngineState
+	if snap == nil {
+		r.mu.Lock()
+		resume := r.resume
+		r.mu.Unlock()
+		if resume {
+			var ck runCheckpoint
+			if err := checkpoint.Load(r.ckptPath(), &ck); err != nil || ck.State == nil {
+				_ = os.Remove(r.ckptPath())
+				return nil, nil, 0, fmt.Errorf("%w: %v", errStaleSnapshot, err)
+			}
+			// The snapshot may have been taken under a later policy
+			// (live swap before the crash); build under that policy.
+			polName, disk = ck.Policy, ck.State
+		}
+	}
 	e, w, err := r.spec.Build(polName)
 	if err != nil {
 		return nil, nil, 0, err
@@ -173,29 +191,13 @@ func (d *Daemon) prepare(r *run, polName string, snap *engine.EngineState, swap 
 		if err := e.Restore(snap); err != nil {
 			return nil, nil, 0, err
 		}
-	default:
-		r.mu.Lock()
-		resume := r.resume
-		r.mu.Unlock()
-		if !resume {
-			return e, w, 0, nil
-		}
-		var ck runCheckpoint
-		if err := checkpoint.Load(r.ckptPath(), &ck); err != nil || ck.State == nil {
-			_ = os.Remove(r.ckptPath())
-			return nil, nil, 0, fmt.Errorf("%w: %v", errStaleSnapshot, err)
-		}
-		if ck.Policy != polName {
-			// The snapshot was taken under a later policy (live swap
-			// before the crash); rebuild under that policy instead.
-			return d.prepare(r, ck.Policy, nil, false)
-		}
-		if err := e.Restore(ck.State); err != nil {
+	case disk != nil:
+		if err := e.Restore(disk); err != nil {
 			_ = os.Remove(r.ckptPath())
 			return nil, nil, 0, fmt.Errorf("%w: %v", errStaleSnapshot, err)
 		}
 		r.mu.Lock()
-		r.policy = ck.Policy
+		r.policy = polName
 		r.mu.Unlock()
 	}
 	return e, w, 0, nil

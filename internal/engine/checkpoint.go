@@ -326,6 +326,34 @@ func (e *Engine) Snapshot() (*EngineState, error) {
 
 func (e *Engine) pageTableState() PageTableState {
 	st := PageTableState{Len: len(e.pages)}
+	live := 0
+	for _, pg := range e.pages {
+		if pg != nil {
+			live++
+		}
+	}
+	if live == 0 {
+		// Nil columns, which marshal as null, as they always have.
+		return st
+	}
+	// One page per row: size every dense column once instead of growing
+	// sixteen slices by append.
+	st.ID = make([]int64, 0, live)
+	st.VPN = make([]uint64, 0, live)
+	st.PID = make([]int, 0, live)
+	st.Tier = make([]int, 0, live)
+	st.Flags = make([]uint16, 0, live)
+	st.Size = make([]int32, 0, live)
+	st.ProtTS = make([]simclock.Time, 0, live)
+	st.LastFault = make([]simclock.Time, 0, live)
+	st.DemoteTS = make([]simclock.Time, 0, live)
+	st.PromoteTS = make([]simclock.Time, 0, live)
+	st.ABitTS = make([]simclock.Time, 0, live)
+	st.Meta = make([]uint64, 0, live)
+	st.Meta2 = make([]uint64, 0, live)
+	st.FaultSeq = make([]uint64, 0, live)
+	st.W = make([]float64, 0, live)
+	st.RF = make([]float64, 0, live)
 	for id, pg := range e.pages {
 		if pg == nil {
 			continue

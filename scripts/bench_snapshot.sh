@@ -3,10 +3,10 @@
 #
 # Runs the tier-1 hot-path benchmarks (simclock event loop, engine
 # epoch, fault path, adversarial oscillation, one background cycle of
-# each adversarial policy) COUNT times each with
-# -benchmem and writes every
-# sample into a dated JSON snapshot (BENCH_YYYY-MM.json) alongside the
-# toolchain/host metadata needed to interpret it later. The raw `go
+# each adversarial policy, checkpoint save/load/restore) COUNT times
+# each with -benchmem and writes every sample into a dated JSON
+# snapshot (BENCH_YYYY-MM.json) alongside the toolchain/host metadata
+# needed to interpret it later. The raw `go
 # test` output is benchstat-compatible; the JSON exists so a future
 # regression gate can diff medians without re-parsing bench text.
 #
@@ -19,12 +19,13 @@ COUNT="${COUNT:-10}"
 BENCHTIME="${BENCHTIME:-1s}"
 STAMP="${STAMP:-$(date +%Y-%m)}"
 OUT="${OUT:-BENCH_${STAMP}.json}"
-BENCHES='BenchmarkSimclockEvents|BenchmarkEngineEpoch|BenchmarkEngineEpochShards8|BenchmarkEngineEpochHighFidelity|BenchmarkFaultPath|BenchmarkAdversarialOscillation|BenchmarkPolicyCycle'
+BENCHES='BenchmarkSimclockEvents|BenchmarkEngineEpoch|BenchmarkEngineEpochShards8|BenchmarkEngineEpochHighFidelity|BenchmarkFaultPath|BenchmarkAdversarialOscillation|BenchmarkPolicyCycle|BenchmarkCheckpoint'
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-go test -run '^$' -bench "^(${BENCHES})\$" -benchmem \
+# -timeout: at COUNT=10 the set runs well past go test's 10m default.
+go test -run '^$' -bench "^(${BENCHES})\$" -benchmem -timeout 60m \
 	-benchtime "$BENCHTIME" -count "$COUNT" . | tee "$raw"
 
 # Fold the bench text into JSON. Lines of interest:
