@@ -109,9 +109,10 @@ resume-check:
 daemon-smoke:
 	bash scripts/daemon_smoke.sh
 
-# Results-drift guard: regenerate the committed quick-mode table in
-# results/ and byte-diff it. Re-record an intentional change with
-# WRITE=1 bash scripts/results_drift.sh.
+# Results-drift guard: regenerate the committed quick-mode table and the
+# full `reproduce -experiment all -json` output (stdout and tables.json)
+# in results/ and byte-diff all three. Re-record an intentional change
+# with WRITE=1 bash scripts/results_drift.sh.
 results-drift:
 	bash scripts/results_drift.sh
 

@@ -149,9 +149,9 @@ func (c *Chrono) RestoreCheckpoint(data []byte) error {
 		return err
 	}
 	for t := range st.Heat {
-		if len(st.Heat[t]) != c.opt.BBuckets {
+		if len(st.Heat[t]) != BBuckets {
 			return fmt.Errorf("core: restore: heat map tier %d has %d buckets, configured %d",
-				t, len(st.Heat[t]), c.opt.BBuckets)
+				t, len(st.Heat[t]), BBuckets)
 		}
 	}
 	c.thresholdMS = st.ThresholdMS

@@ -49,6 +49,16 @@ const (
 	TuneSemiAuto
 )
 
+// Fixed Table 2 parameters.
+const (
+	// CITThresholdMS is the initial classification threshold (Table 2:
+	// 1000 ms, auto-tuned thereafter).
+	CITThresholdMS float64 = 1000
+	// BBuckets is the number of CIT heat-map buckets (Table 2: 28; the
+	// finest level is 1 ms and bucket i covers [2^(i-1), 2^i) ms).
+	BBuckets int = 28
+)
+
 // Options configures Chrono. Zero values take the Table 2 defaults.
 type Options struct {
 	// Scan configures the Ticking-scan pacing (scan step / scan period;
@@ -59,9 +69,6 @@ type Options struct {
 	Rounds int
 	// Tuning selects the tuning mode (default TuneDCSC).
 	Tuning Tuning
-	// CITThresholdMS is the initial classification threshold (Table 2:
-	// 1000 ms, auto-tuned thereafter).
-	CITThresholdMS float64
 	// RateLimitMBps is the initial (semi-auto: permanent) promotion rate
 	// limit (Table 2: 100 MB/s, auto-tuned under DCSC).
 	RateLimitMBps float64
@@ -74,9 +81,6 @@ type Options struct {
 	// context-switch ordering) while still collecting >600 samples per
 	// tuning window (see DESIGN.md on scaling).
 	PVictim float64
-	// BBuckets is the number of CIT heat-map buckets (Table 2: 28; the
-	// finest level is 1 ms and bucket i covers [2^(i-1), 2^i) ms).
-	BBuckets int
 	// StatPeriod is the DCSC statistical scan interval (default 1 s —
 	// "frequent per-second scans", §3.2.2).
 	StatPeriod simclock.Duration
@@ -101,9 +105,6 @@ func (o Options) withDefaults() Options {
 	if o.Rounds == 0 {
 		o.Rounds = 2
 	}
-	if o.CITThresholdMS == 0 {
-		o.CITThresholdMS = 1000
-	}
 	if o.RateLimitMBps == 0 {
 		o.RateLimitMBps = 100
 	}
@@ -112,9 +113,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PVictim == 0 {
 		o.PVictim = 0.002
-	}
-	if o.BBuckets == 0 {
-		o.BBuckets = 28
 	}
 	if o.StatPeriod == 0 {
 		o.StatPeriod = simclock.Second
@@ -165,7 +163,7 @@ type Chrono struct {
 	// region's first-fault gap (uniform-phase periodic model). All CIT
 	// values, buckets, and thresholds are therefore in real-page
 	// milliseconds, directly comparable with the paper's Table 2.
-	citScale float64 //chrono:rebuilt derived from Config.CostScale at Attach
+	citScale float64 //chrono:rebuilt derived from the kernel's CostScale at Attach
 
 	// thresholdMS is the live CIT classification threshold.
 	thresholdMS float64 //chrono:state ThresholdMS
@@ -225,13 +223,13 @@ func New(opt Options) *Chrono {
 	opt = opt.withDefaults()
 	c := &Chrono{
 		opt:          opt,
-		thresholdMS:  opt.CITThresholdMS,
+		thresholdMS:  CITThresholdMS,
 		rateLimitBps: opt.RateLimitMBps * 1e6,
 		cands:        &xarray.XArray{},
 		retries:      make(map[int64]int8),
 	}
 	for t := range c.heat {
-		c.heat[t] = make([]float64, opt.BBuckets)
+		c.heat[t] = make([]float64, BBuckets)
 	}
 	c.ThresholdHist.Name = "cit_threshold_ms"
 	c.RateLimitHist.Name = "rate_limit_mbps"

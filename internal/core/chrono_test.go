@@ -23,9 +23,11 @@ func attach(t *testing.T, opt Options) (*Chrono, *fakeKernel) {
 func TestDefaults(t *testing.T) {
 	c := New(Options{})
 	opt := c.Options()
-	if opt.Rounds != 2 || opt.CITThresholdMS != 1000 || opt.RateLimitMBps != 100 ||
-		opt.DeltaStep != 0.5 || opt.BBuckets != 28 {
+	if opt.Rounds != 2 || opt.RateLimitMBps != 100 || opt.DeltaStep != 0.5 {
 		t.Fatalf("defaults: %+v", opt)
+	}
+	if CITThresholdMS != 1000 || BBuckets != 28 {
+		t.Fatalf("Table 2 constants: CIT threshold %v, buckets %d", CITThresholdMS, BBuckets)
 	}
 	if c.Name() != "Chrono" {
 		t.Fatal("name")
@@ -348,7 +350,7 @@ func TestCITBuckets(t *testing.T) {
 		}
 	}
 	// Clamps into the last bucket.
-	if got := c.citBucket(1e30); got != c.opt.BBuckets-1 {
+	if got := c.citBucket(1e30); got != BBuckets-1 {
 		t.Fatalf("huge CIT bucket %d", got)
 	}
 	if c.BucketUpperMS(3) != 8 {

@@ -81,7 +81,7 @@ func (c *Chrono) clampThreshold() {
 		c.thresholdMS = maxThresholdMS
 	}
 	if math.IsNaN(c.thresholdMS) || math.IsInf(c.thresholdMS, 0) {
-		c.thresholdMS = c.opt.CITThresholdMS
+		c.thresholdMS = CITThresholdMS
 	}
 }
 
@@ -125,8 +125,8 @@ func (c *Chrono) citBucket(citMS float64) int {
 		return 0
 	}
 	b := bits.Len64(uint64(citMS))
-	if b >= c.opt.BBuckets {
-		b = c.opt.BBuckets - 1
+	if b >= BBuckets {
+		b = BBuckets - 1
 	}
 	return b
 }
@@ -224,8 +224,8 @@ func (c *Chrono) recordSample(pg *vm.Page, citMS float64) {
 	weight := 1.0
 	if pg.IsHuge() {
 		b += bits.Len32(uint32(pg.Size)) - 1
-		if b >= c.opt.BBuckets {
-			b = c.opt.BBuckets - 1
+		if b >= BBuckets {
+			b = BBuckets - 1
 		}
 		weight = float64(pg.Size)
 	}
@@ -272,9 +272,9 @@ func (c *Chrono) dcscTune(now simclock.Time) {
 
 	fastCap := float64(node.Capacity(mem.FastTier))
 	var cum, misplaced float64
-	overlap := c.opt.BBuckets - 1
+	overlap := BBuckets - 1
 	frac := 1.0
-	for b := 0; b < c.opt.BBuckets; b++ {
+	for b := 0; b < BBuckets; b++ {
 		bucketTotal := est(mem.FastTier, b) + est(mem.SlowTier, b)
 		misplaced += est(mem.SlowTier, b)
 		if cum+bucketTotal >= fastCap {

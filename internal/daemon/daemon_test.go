@@ -320,9 +320,17 @@ func TestLiveReconfigureSwapsPolicy(t *testing.T) {
 	if !resp.OK {
 		t.Fatalf("reconfigure: %s", resp.Error)
 	}
+	// TPP's scan walkers have no counterpart under Memtis, so the
+	// restore-into drops them, and the run's status carries the count.
+	if resp.Dropped <= 0 {
+		t.Fatalf("reconfigure reply reports %d dropped events, want > 0", resp.Dropped)
+	}
 	info := waitState(t, d, sub.ID, StateDone)
 	if info.Policy != "Memtis" || info.Swaps != 1 {
 		t.Fatalf("after swap: policy %q swaps %d, want Memtis/1", info.Policy, info.Swaps)
+	}
+	if info.DroppedEvents != resp.Dropped {
+		t.Fatalf("run status reports %d dropped events, reply said %d", info.DroppedEvents, resp.Dropped)
 	}
 	table := d.Status(sub.ID).Table
 	if !strings.Contains(table, "Memtis on pmbench") {

@@ -200,7 +200,7 @@ func (d *Daemon) prepare(r *run, polName string, snap *engine.EngineState, swap 
 		r.policy = polName
 		r.mu.Unlock()
 	}
-	return e, w, 0, nil
+	return e, w, dropped, nil
 }
 
 // saveCkpt snapshots the engine to the run's on-disk checkpoint.
@@ -229,7 +229,6 @@ func nextEpoch(now simclock.Time, epoch simclock.Duration) simclock.Time {
 // Step was paused, or reached a reconfiguration (swap non-nil).
 func (d *Daemon) execute(r *run, e *engine.Engine, w workload.Workload, resumed bool) (experiments.Supervised, *swapReq) {
 	cfg := d.Config()
-	epoch := e.Config().EpochNS
 
 	r.mu.Lock()
 	polName := r.policy
@@ -269,7 +268,7 @@ func (d *Daemon) execute(r *run, e *engine.Engine, w workload.Workload, resumed 
 						break
 					}
 					swapMsg = msg
-					swapAt = nextEpoch(now, epoch)
+					swapAt = nextEpoch(now, engine.EpochNS)
 					// The reply waits until the swap applies or rolls back.
 				default:
 					msg.reply <- ctrlReply{err: fmt.Errorf("daemon: unknown control op %q", msg.op)}

@@ -92,7 +92,7 @@ func newFencePolicy(t *testing.T, name string) (policy.Policy, PageSizeMode) {
 	t.Helper()
 	switch name {
 	case "TPP":
-		return tpp.New(tpp.Config{}), BasePages
+		return tpp.New(), BasePages
 	case "Memtis":
 		// Huge pages exercise the SplitHuge page-table reconciliation.
 		return memtis.New(memtis.Config{}), HugePages
@@ -101,11 +101,11 @@ func newFencePolicy(t *testing.T, name string) (policy.Policy, PageSizeMode) {
 	case "Chrono":
 		return core.New(core.Options{}), BasePages
 	case "Nomad":
-		return policy.NewNomad(policy.NomadConfig{}), BasePages
+		return policy.NewNomad(), BasePages
 	case "TPP+guard":
 		// The guard wrapper must keep the inner policy's durability class:
 		// guardedCkpt serializes the detector columns alongside TPP's state.
-		return policy.WithThrashGuard(tpp.New(tpp.Config{}), policy.ThrashConfig{}), BasePages
+		return policy.WithThrashGuard(tpp.New(), policy.ThrashConfig{}), BasePages
 	case "Memtis+guard":
 		// Guarded huge-page inner: SplitHuge reconciliation under the wrapper.
 		return policy.WithThrashGuard(memtis.New(memtis.Config{}), policy.ThrashConfig{}), HugePages

@@ -62,6 +62,42 @@ const (
 // DefaultMigrationBW is Config.MigrationBWBytes's default: 1.2 GB/s.
 const DefaultMigrationBW units.BytesPerSec = 1.2e9
 
+// EpochNS is the metric accounting step.
+const EpochNS = 250 * simclock.Millisecond
+
+// Fixed model parameters (DESIGN.md §1 "Fixed model parameters"). Per-page
+// kernel costs are in real 4 KB pages and are multiplied by the engine's
+// cost scale when charged.
+const (
+	// thrashWindowNS is the promote→demote round-trip window counted as
+	// thrash by the wasted-bandwidth metrics (ThrashDemotions/ThrashBytes):
+	// one scan period, the natural reaction timescale of the fault-based
+	// policies.
+	thrashWindowNS = 60 * simclock.Second
+
+	// Cost model (virtual nanoseconds).
+	cpuWorkNS        units.NS = 130  // per-access app work outside memory
+	faultKernelNS    units.NS = 1900 // kernel time per hint fault
+	faultLatencyNS   units.NS = 3600 // extra latency seen by a faulting access
+	scanPageNS       units.NS = 130  // kernel time per page scanned/poisoned
+	migrateFixedNS   units.NS = 1500 // kernel time per migration operation
+	migratePerPageNS units.NS = 350  // kernel time per base page migrated
+	aBitTestNS       units.NS = 25   // kernel time per accessed-bit test
+
+	// contextSwitchIdleHz is the baseline context-switch rate per proc.
+	contextSwitchIdleHz units.Hz = 1.2
+
+	// pebsAliasRebuildS is the virtual seconds between alias-table
+	// rebuilds for PEBS sampling.
+	pebsAliasRebuildS units.Sec = 10
+	// pebsAliasMinRebuildS rate-limits weight-triggered alias rebuilds: a
+	// pattern change marks the table stale, but the O(pages) rebuild is
+	// deferred until the table is at least this old (virtual seconds).
+	// Structural changes (pages created or freed) always rebuild before
+	// the next sample.
+	pebsAliasMinRebuildS units.Sec = 1
+)
+
 // Config parameterizes a simulation run.
 type Config struct {
 	// Seed drives all randomness. Same seed, same results.
@@ -75,38 +111,7 @@ type Config struct {
 	FastGB units.GB
 	SlowGB units.GB
 
-	// EpochNS is the metric accounting step. Default 250 ms.
-	EpochNS simclock.Duration
-	// ThrashWindowNS is the promote→demote round-trip window counted as
-	// thrash by the wasted-bandwidth metrics (ThrashDemotions/ThrashBytes).
-	// Default 60 s — one scan period, the natural reaction timescale of the
-	// fault-based policies.
-	ThrashWindowNS simclock.Duration
-	// NCPU bounds compute (Xeon Gold 6348: 28 cores, 56 threads).
-	NCPU int
-
-	Gap     GapModel
-	Latency mem.LatencyModel
-
-	// Cost model (virtual nanoseconds).
-	CPUWorkNS           units.NS // per-access app work outside memory
-	FaultKernelNS       units.NS // kernel time per hint fault
-	FaultLatencyNS      units.NS // extra latency seen by a faulting access
-	ScanPageNS          units.NS // kernel time per page scanned/poisoned
-	MigrateFixedNS      units.NS // kernel time per migration operation
-	MigratePerPageNS    units.NS // kernel time per base page migrated
-	ABitTestNS          units.NS // kernel time per accessed-bit test
-	ContextSwitchIdleHz units.Hz // baseline context-switch rate per proc
-
-	// PEBSAliasRebuildS is the virtual seconds between alias-table
-	// rebuilds for PEBS sampling. Default 10.
-	PEBSAliasRebuildS units.Sec
-	// PEBSAliasMinRebuildS rate-limits weight-triggered alias rebuilds: a
-	// pattern change marks the table stale, but the O(pages) rebuild is
-	// deferred until the table is at least this old (virtual seconds).
-	// Structural changes (pages created or freed) always rebuild before
-	// the next sample. Default 1.
-	PEBSAliasMinRebuildS units.Sec
+	Gap GapModel
 
 	// HugeFactor is the number of simulated base pages folded into one
 	// "huge page" under HugePages mapping. Real x86 folds 512×4 KB into
@@ -140,14 +145,6 @@ type Config struct {
 	// byte-identical to an engine without it.
 	Faults faultinject.Plan
 
-	// CostScale is the real-pages-per-simulated-page factor. One
-	// simulated page stands for CostScale real 4 KB pages (the capacity
-	// scale-down), so per-page kernel costs, migration bytes, and fault
-	// latency observations are multiplied by it to keep kernel-time
-	// fractions and bandwidth figures in real units. Default
-	// 262144/PagesPerGB.
-	CostScale float64
-
 	// Shards partitions the fault machinery by page ID (owner = ID mod
 	// Shards) for multi-core execution at high page fidelity. Results are
 	// independent of the shard count: gap draws are stateless hashes and
@@ -170,51 +167,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.SlowGB == 0 {
 		cfg.SlowGB = 192
-	}
-	if cfg.EpochNS == 0 {
-		cfg.EpochNS = 250 * simclock.Millisecond
-	}
-	if cfg.ThrashWindowNS == 0 {
-		cfg.ThrashWindowNS = 60 * simclock.Second
-	}
-	if cfg.NCPU == 0 {
-		cfg.NCPU = 56
-	}
-	if cfg.Latency == (mem.LatencyModel{}) {
-		cfg.Latency = mem.DefaultLatency()
-	}
-	if cfg.CPUWorkNS == 0 {
-		cfg.CPUWorkNS = 130
-	}
-	if cfg.FaultKernelNS == 0 {
-		cfg.FaultKernelNS = 1900
-	}
-	if cfg.FaultLatencyNS == 0 {
-		cfg.FaultLatencyNS = 3600
-	}
-	if cfg.ScanPageNS == 0 {
-		cfg.ScanPageNS = 130
-	}
-	if cfg.MigrateFixedNS == 0 {
-		cfg.MigrateFixedNS = 1500
-	}
-	if cfg.MigratePerPageNS == 0 {
-		cfg.MigratePerPageNS = 350
-	}
-	if cfg.ABitTestNS == 0 {
-		cfg.ABitTestNS = 25
-	}
-	if cfg.ContextSwitchIdleHz == 0 {
-		cfg.ContextSwitchIdleHz = 1.2
-	}
-	if cfg.PEBSAliasRebuildS == 0 {
-		cfg.PEBSAliasRebuildS = 10
-	}
-	if cfg.PEBSAliasMinRebuildS == 0 {
-		cfg.PEBSAliasMinRebuildS = 1
-	}
-	if cfg.CostScale == 0 {
-		cfg.CostScale = 262144 / float64(cfg.PagesPerGB)
 	}
 	if cfg.MigrationBWBytes == 0 {
 		cfg.MigrationBWBytes = DefaultMigrationBW
@@ -270,10 +222,16 @@ func (ps *procState) Rate() float64 { return ps.rate }
 //
 //chrono:statesync EngineState
 type Engine struct {
-	cfg   Config          //chrono:rebuilt construction-time configuration; immutable after New
-	clock *simclock.Clock //chrono:state Clock
-	node  *mem.Node       //chrono:state Node
-	table *sysctl.Table   //chrono:rebuilt sysctl registrations are code-defined; writable values live in numaTiering and the policy state
+	cfg Config //chrono:rebuilt construction-time configuration; immutable after New
+	// costScale is the real-pages-per-simulated-page factor. One
+	// simulated page stands for costScale real 4 KB pages (the capacity
+	// scale-down), so per-page kernel costs, migration bytes, and fault
+	// latency observations are multiplied by it to keep kernel-time
+	// fractions and bandwidth figures in real units.
+	costScale float64         //chrono:rebuilt derived from Config.PagesPerGB by New
+	clock     *simclock.Clock //chrono:state Clock
+	node      *mem.Node       //chrono:state Node
+	table     *sysctl.Table   //chrono:rebuilt sysctl registrations are code-defined; writable values live in numaTiering and the policy state
 
 	rMaster   *rng.Source //chrono:state RMaster
 	rFault    *rng.Source //chrono:state RFault
@@ -501,15 +459,16 @@ func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	fastPages := cfg.FastGB.Pages(cfg.PagesPerGB)
 	slowPages := cfg.SlowGB.Pages(cfg.PagesPerGB)
+	costScale := 262144 / float64(cfg.PagesPerGB)
 	r := rng.New(cfg.Seed)
 	e := &Engine{
-		cfg:   cfg,
-		clock: simclock.New(),
+		cfg:       cfg,
+		costScale: costScale,
+		clock:     simclock.New(),
 		node: mem.NewNode(mem.Config{
 			FastPages:     fastPages,
 			SlowPages:     slowPages,
-			Latency:       cfg.Latency,
-			PageSizeBytes: int64(4096 * cfg.CostScale),
+			PageSizeBytes: int64(4096 * costScale),
 		}),
 		table:       sysctl.NewTable(),
 		rMaster:     r,
@@ -920,7 +879,7 @@ func (e *Engine) Run(d simclock.Duration) *Metrics {
 func (e *Engine) startTickers() {
 	if e.engTickers == nil {
 		e.engTickers = []*simclock.Ticker{
-			e.clock.EveryKey("engine/epoch", e.cfg.EpochNS, func(now simclock.Time) { e.epochTick(now) }),
+			e.clock.EveryKey("engine/epoch", EpochNS, func(now simclock.Time) { e.epochTick(now) }),
 			// Kernel LRU aging once per minute: the paper (§2.3) observes that
 			// accessed-bit reset intervals in practice "last from minutes to
 			// hours", which is why hardware-bit recency is a coarse hotness

@@ -41,6 +41,7 @@ func (e *Engine) updateRates() {
 	if penalty < 0.5 {
 		penalty = 0.5
 	}
+	lat := mem.DefaultLatency()
 	for _, ps := range e.procs {
 		if ps.wTot <= 0 {
 			ps.rate = 0
@@ -48,12 +49,12 @@ func (e *Engine) updateRates() {
 		}
 		var wl float64
 		for t := mem.TierID(0); t < mem.NumTiers; t++ {
-			wl += ps.wRead[t]*float64(e.cfg.Latency.ReadNS[t])*e.latMult(t, false) +
-				ps.wWrite[t]*float64(e.cfg.Latency.WriteNS[t])*e.latMult(t, true)
+			wl += ps.wRead[t]*float64(lat.ReadNS[t])*e.latMult(t, false) +
+				ps.wWrite[t]*float64(lat.WriteNS[t])*e.latMult(t, true)
 		}
 		wl += ps.wSwap * SwapLatencyNS
 		avgLat := wl / ps.wTot
-		perAccess := float64(e.cfg.CPUWorkNS) + float64(ps.proc.DelayNS) + avgLat + ps.faultOverheadNS
+		perAccess := float64(cpuWorkNS) + float64(ps.proc.DelayNS) + avgLat + ps.faultOverheadNS
 		ps.rate = float64(ps.threads) * 1e9 / perAccess * penalty
 	}
 }
@@ -98,16 +99,15 @@ func (e *Engine) updateBandwidth(migBytesPerSec float64) {
 	// Optane media amplification: random 64 B reads cost a 256 B XPLine
 	// fetch; stores read-modify-write a full line. Migration copies also
 	// land on the slow media (one side of every promotion/demotion).
-	node := e.node
 	readStreamBytesPerSec := (slowReadBytesPerSec + slowWriteBytesPerSec) * SlowMediaAmp
 	writeStreamBytesPerSec := slowWriteBytesPerSec*SlowMediaAmp + migBytesPerSec
-	ru := readStreamBytesPerSec / float64(node.SlowReadBW)
-	wu := writeStreamBytesPerSec / float64(node.SlowWriteBW)
+	ru := readStreamBytesPerSec / float64(mem.SlowReadBW)
+	wu := writeStreamBytesPerSec / float64(mem.SlowWriteBW)
 	slowUtil := ru
 	if wu > slowUtil {
 		slowUtil = wu
 	}
-	fastUtil := (fastBytesPerSec + migBytesPerSec) / float64(node.FastBW)
+	fastUtil := (fastBytesPerSec + migBytesPerSec) / float64(mem.FastBW)
 	e.slowUtilEMA = 0.5*e.slowUtilEMA + 0.5*slowUtil
 	e.fastUtilEMA = 0.5*e.fastUtilEMA + 0.5*fastUtil
 	e.slowLatMult = queueMult(e.slowUtilEMA)
@@ -121,7 +121,7 @@ func (e *Engine) SlowUtilization() float64 { return e.slowUtilEMA }
 // accesses to latency histograms and counters, refreshes fault-overhead
 // estimates and contention, and recomputes rates for the next epoch.
 func (e *Engine) epochTick(now simclock.Time) {
-	dt := e.cfg.EpochNS.Seconds()
+	dt := EpochNS.Seconds()
 
 	// Per-tier access masses accumulate across processes first: the jitter
 	// histogram expansion depends only on the tier and op, so one expansion
@@ -150,21 +150,22 @@ func (e *Engine) epochTick(now simclock.Time) {
 		// Fault overhead per access (EMA over epochs).
 		var perAccess float64
 		if acc > 0 {
-			perAccess = ps.epochFaults * float64(e.cfg.FaultKernelNS) * e.cfg.CostScale / acc
+			perAccess = ps.epochFaults * float64(faultKernelNS) * e.costScale / acc
 		}
 		ps.faultOverheadNS = 0.7*ps.faultOverheadNS + 0.3*perAccess
 		ps.epochFaults = 0
 	}
+	lat := mem.DefaultLatency()
 	for t := mem.TierID(0); t < mem.NumTiers; t++ {
 		reads, writes := tierReads[t], tierWrites[t]
 		for _, j := range jitter {
 			if reads > 0 {
-				l := float64(e.cfg.Latency.ReadNS[t]) * e.latMult(t, false) * j.mult
+				l := float64(lat.ReadNS[t]) * e.latMult(t, false) * j.mult
 				e.M.Lat.Add(l, reads*j.frac)
 				e.M.LatRead.Add(l, reads*j.frac)
 			}
 			if writes > 0 {
-				l := float64(e.cfg.Latency.WriteNS[t]) * e.latMult(t, true) * j.mult
+				l := float64(lat.WriteNS[t]) * e.latMult(t, true) * j.mult
 				e.M.Lat.Add(l, writes*j.frac)
 				e.M.LatWrite.Add(l, writes*j.frac)
 			}
@@ -176,7 +177,7 @@ func (e *Engine) epochTick(now simclock.Time) {
 	var appNS float64
 	for _, ps := range e.procs {
 		appNS += float64(ps.threads) * dt * 1e9
-		e.M.ContextSwitches += e.cfg.ContextSwitchIdleHz.Count(units.Sec(dt))
+		e.M.ContextSwitches += contextSwitchIdleHz.Count(units.Sec(dt))
 	}
 	e.M.AppNS += appNS
 	if appNS+e.kernelNSEpoch > 0 {

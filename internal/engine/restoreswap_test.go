@@ -44,7 +44,7 @@ func TestRestoreSwapContinuesRun(t *testing.T) {
 		mid = 30 * simclock.Second
 	)
 	// Old policy runs the first half...
-	old := buildCkptEngine(t, tpp.New(tpp.Config{}), BasePages, faultinject.Plan{}, 1)
+	old := buildCkptEngine(t, tpp.New(), BasePages, faultinject.Plan{}, 1)
 	snap := snapshotAt(t, old, mid, dur)
 
 	// ...and the snapshot round-trips through bytes like a real swap does
@@ -101,7 +101,7 @@ func TestRestoreSwapRemainsCheckpointable(t *testing.T) {
 		mid  = 20 * simclock.Second
 		mid2 = 40 * simclock.Second
 	)
-	old := buildCkptEngine(t, tpp.New(tpp.Config{}), BasePages, faultinject.Plan{}, 1)
+	old := buildCkptEngine(t, tpp.New(), BasePages, faultinject.Plan{}, 1)
 	snap := snapshotAt(t, old, mid, dur)
 
 	// Reference: swap and run straight to the end.
@@ -155,7 +155,7 @@ func snapshotAtResume(t *testing.T, e *Engine, mid simclock.Duration) *EngineSta
 // Restore (non-swap) must still reject a policy mismatch — RestoreSwap is
 // an explicit opt-in, not a loosening of the default fence.
 func TestRestoreSwapIsExplicit(t *testing.T) {
-	old := buildCkptEngine(t, tpp.New(tpp.Config{}), BasePages, faultinject.Plan{}, 1)
+	old := buildCkptEngine(t, tpp.New(), BasePages, faultinject.Plan{}, 1)
 	snap := snapshotAt(t, old, 10*simclock.Second, 30*simclock.Second)
 	neu := buildCkptEngine(t, memtis.New(memtis.Config{}), BasePages, faultinject.Plan{}, 1)
 	if err := neu.Restore(snap); err == nil {

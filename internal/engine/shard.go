@@ -242,14 +242,15 @@ func (e *Engine) flushFaultBatch(perTier *[mem.NumTiers]int64) {
 	fn := float64(n)
 	e.M.Faults += fn
 	e.M.ContextSwitches += fn
-	e.ChargeKernel(e.cfg.FaultKernelNS.Mul(e.cfg.CostScale).Mul(fn))
+	e.ChargeKernel(faultKernelNS.Mul(e.costScale).Mul(fn))
+	tierLat := mem.DefaultLatency()
 	for t := mem.TierID(0); t < mem.NumTiers; t++ {
 		c := perTier[t]
 		if c == 0 {
 			continue
 		}
-		lat := float64(e.cfg.FaultLatencyNS + e.cfg.Latency.Access(t, false))
-		w := float64(c) * e.cfg.CostScale
+		lat := float64(faultLatencyNS + tierLat.Access(t, false))
+		w := float64(c) * e.costScale
 		e.M.Lat.Add(lat, w)
 		e.M.LatRead.Add(lat, w)
 	}

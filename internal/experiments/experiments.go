@@ -179,9 +179,9 @@ func NewPolicy(name string) (policy.Policy, error) {
 	case "AutoTiering":
 		return autotiering.New(autotiering.Config{}), nil
 	case "Multi-Clock":
-		return multiclock.New(multiclock.Config{}), nil
+		return multiclock.New(), nil
 	case "TPP":
-		return tpp.New(tpp.Config{}), nil
+		return tpp.New(), nil
 	case "Memtis":
 		return memtis.New(memtis.Config{}), nil
 	case "HeMem":
@@ -189,9 +189,9 @@ func NewPolicy(name string) (policy.Policy, error) {
 	case "FlexMem":
 		return flexmem.New(flexmem.Config{}), nil
 	case "Telescope":
-		return telescope.New(telescope.Config{}), nil
+		return telescope.New(), nil
 	case "Nomad":
-		return policy.NewNomad(policy.NomadConfig{}), nil
+		return policy.NewNomad(), nil
 	case "Chrono", "Chrono-full":
 		return core.New(core.Options{}), nil
 	case "Chrono-basic":

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"chrono/internal/engine"
+	"chrono/internal/faultinject"
 	"chrono/internal/simclock"
 	"chrono/internal/stats"
 	"chrono/internal/workload"
@@ -193,6 +195,29 @@ func TestFig9ChronoDifferentiatesTenants(t *testing.T) {
 	tables := Fig9Tables(results)
 	if len(tables) != 2 {
 		t.Fatal("fig9 tables")
+	}
+}
+
+// TestFig9HonoursFaultPlan: Figure 9's runs are assembled by Build, so
+// the run options' fault plan reaches the engine and moves the placement
+// history.
+func TestFig9HonoursFaultPlan(t *testing.T) {
+	o := RunOpts{Duration: 120 * simclock.Second, FastGB: 4, SlowGB: 12}
+	history := func(o RunOpts) string {
+		results, err := RunFig9([]string{"TPP"}, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, cg := range Fig9Cgroups {
+			fmt.Fprintln(&b, results[0].Series[cg].V)
+		}
+		return b.String()
+	}
+	clean := history(o)
+	o.Faults = faultinject.Aggressive()
+	if history(o) == clean {
+		t.Fatal("Figure 9 history is identical with and without fault injection")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"chrono/internal/core"
 	"chrono/internal/engine"
 	"chrono/internal/parallel"
 	"chrono/internal/report"
@@ -58,17 +59,10 @@ func runWithSampler(pol string, w workload.Workload, o RunOpts,
 	for _, cg := range Fig9Cgroups {
 		r.Series[cg] = &stats.Series{Name: fmt.Sprintf("cgroup-%d", cg)}
 	}
-	e := engine.New(engine.Config{
-		Seed: o.Seed, PagesPerGB: o.PagesPerGB, FastGB: o.FastGB, SlowGB: o.SlowGB,
-	})
-	if err := w.Build(e); err != nil {
-		return nil, err
-	}
-	p, err := NewPolicy(pol)
+	e, err := Build(pol, w, o)
 	if err != nil {
 		return nil, err
 	}
-	e.AttachPolicy(p)
 	e.Clock().Every(10*simclock.Second, func(now simclock.Time) {
 		sample(e, r, now)
 	})
@@ -134,19 +128,11 @@ func RunFig10a(o RunOpts) (*Fig10a, error) {
 	o = o.withDefaults()
 	const bins = 20
 	w := &workload.Pmbench{Processes: 8, WorkingSetGB: 24, ReadPct: 70, Stride: 1}
-	e := engine.New(engine.Config{
-		Seed: o.Seed, PagesPerGB: o.PagesPerGB, FastGB: o.FastGB, SlowGB: o.SlowGB,
-	})
-	if err := w.Build(e); err != nil {
-		return nil, err
-	}
-	pol, err := NewPolicy("Chrono")
+	e, err := Build("Chrono", w, o)
 	if err != nil {
 		return nil, err
 	}
-	ch := pol.(interface {
-		SetCITObserver(func(pg *vm.Page, citMS float64))
-	})
+	ch := e.Policy().(*core.Chrono)
 	out := &Fig10a{
 		Position:       make([]float64, bins),
 		AccessPDF:      make([]float64, bins),
@@ -159,7 +145,7 @@ func RunFig10a(o RunOpts) (*Fig10a, error) {
 	sumSq := make([]float64, bins)
 	target := e.Processes()[0]
 	vma := target.VMAs()[0]
-	scale := e.Config().CostScale
+	scale := e.CostScale()
 	ch.SetCITObserver(func(pg *vm.Page, citMS float64) {
 		// citMS is already in real per-4KB-page terms.
 		if pg.Proc != target {
@@ -173,7 +159,6 @@ func RunFig10a(o RunOpts) (*Fig10a, error) {
 		sumSq[b] += citMS * citMS
 		out.Samples[b]++
 	})
-	e.AttachPolicy(pol)
 	e.Run(o.Duration)
 
 	for b := 0; b < bins; b++ {

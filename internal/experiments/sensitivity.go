@@ -60,11 +60,8 @@ func RunSensitivity(title string, mkWorkload func() workload.Workload, o RunOpts
 	}
 	t := report.NewTable(title, headers...)
 
-	// The default scan step at this scale (mirrors scan.Config defaults).
-	stepPages := int(float64(o.FastGB+o.SlowGB) * float64(o.PagesPerGB) / 1024)
-	if stepPages < 8 {
-		stepPages = 8
-	}
+	// The default scan step at this scale.
+	stepPages := scan.DefaultStepPages(o.FastGB.Pages(o.PagesPerGB) + o.SlowGB.Pages(o.PagesPerGB))
 
 	var jobs []func() (float64, error)
 	for _, param := range SensitivityParams {

@@ -151,7 +151,7 @@ func TestMovePagesCopyTimeConversion(t *testing.T) {
 		t.Fatal(err)
 	}
 	bytes := float64(100 * n.PageSizeBytes)
-	want := simclock.Duration(bytes / float64(n.CopyBandwidthB) * 1e9)
+	want := simclock.Duration(bytes / float64(copyBandwidth) * 1e9)
 	if d != want {
 		t.Fatalf("copy duration %v, want %v (bytes/bw*1e9)", d, want)
 	}

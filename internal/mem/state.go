@@ -9,9 +9,9 @@ type TierState struct {
 	Marks Watermarks `json:"marks"`
 }
 
-// NodeState is the serializable dynamic state of a Node. Capacities,
-// latency model, and bandwidth limits are configuration rebuilt by
-// NewNode, not state.
+// NodeState is the serializable dynamic state of a Node. Capacities and
+// page size are configuration rebuilt by NewNode, and the latency model
+// and bandwidth limits are fixed; none of them is state.
 type NodeState struct {
 	Tiers         [NumTiers]TierState `json:"tiers"`
 	PromotedPages int64               `json:"promoted_pages"`

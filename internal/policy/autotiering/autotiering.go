@@ -25,40 +25,21 @@ import (
 	"chrono/internal/vm"
 )
 
+// AutoTiering's published settings.
+const (
+	// promoteThreshold is the minimum popcount of the LAP vector for
+	// opportunistic promotion at fault time: accessed in at least two of
+	// the last eight periods.
+	promoteThreshold = 2
+	// lapBits is the history length.
+	lapBits = 8
+)
+
 // Config holds AutoTiering's tunables.
 type Config struct {
-	Scan scan.Config
-	// PromoteThreshold is the minimum popcount of the LAP vector for
-	// opportunistic promotion at fault time (default 2: accessed in at
-	// least two of the last eight periods).
-	PromoteThreshold int
-	// LAPBits is the history length (default 8).
-	LAPBits int
-	// BackgroundPeriod is the demotion thread's cycle (default = scan
-	// period).
-	BackgroundPeriod simclock.Duration
 	// LAPMaintainNS is the kernel cost per page per LAP shift pass; the
 	// high default reproduces AutoTiering's measured kernel overhead.
 	LAPMaintainNS units.NS
-}
-
-func (c Config) withDefaults() Config {
-	if c.PromoteThreshold == 0 {
-		c.PromoteThreshold = 2
-	}
-	if c.LAPBits == 0 {
-		c.LAPBits = 8
-	}
-	if c.BackgroundPeriod == 0 {
-		c.BackgroundPeriod = simclock.Minute
-	}
-	if c.LAPMaintainNS == 0 {
-		// AutoTiering walks and reorders its per-page LAP lists every
-		// background period; the paper measures 14.1% kernel time, 2.2x
-		// the NUMA-balancing baseline (Figure 8).
-		c.LAPMaintainNS = 2000
-	}
-	return c
 }
 
 // Policy is the AutoTiering baseline. The page's LAP vector lives in the
@@ -70,7 +51,15 @@ type Policy struct {
 }
 
 // New returns an AutoTiering policy.
-func New(cfg Config) *Policy { return &Policy{cfg: cfg.withDefaults()} }
+func New(cfg Config) *Policy {
+	if cfg.LAPMaintainNS == 0 {
+		// AutoTiering walks and reorders its per-page LAP lists every
+		// background period; the paper measures 14.1% kernel time, 2.2x
+		// the NUMA-balancing baseline (Figure 8).
+		cfg.LAPMaintainNS = 2000
+	}
+	return &Policy{cfg: cfg}
+}
 
 // Name implements policy.Policy.
 func (p *Policy) Name() string { return "AutoTiering" }
@@ -79,11 +68,11 @@ func (p *Policy) Name() string { return "AutoTiering" }
 func (p *Policy) Attach(k policy.Kernel) {
 	p.k = k
 	// The fault-driven scan poisons all pages like NUMA balancing.
-	scan.Start(k, p.cfg.Scan, func(pg *vm.Page, now simclock.Time) {
+	s := scan.Start(k, scan.Config{}, func(pg *vm.Page, now simclock.Time) {
 		k.Protect(pg)
 	})
-	// LAP shift + background demotion pass.
-	k.Clock().Every(p.cfg.BackgroundPeriod, func(now simclock.Time) {
+	// LAP shift + background demotion pass, once per scan period.
+	k.Clock().Every(s.Config().Period, func(now simclock.Time) {
 		p.background()
 	})
 }
@@ -94,7 +83,7 @@ func setLAP(pg *vm.Page, v uint64) { pg.Meta = (pg.Meta &^ 0xff) | (v & 0xff) }
 // background shifts every tracked page's LAP vector and demotes fast-tier
 // pages with empty history under watermark pressure.
 func (p *Policy) background() {
-	mask := uint64(1)<<uint(p.cfg.LAPBits) - 1
+	mask := uint64(1)<<lapBits - 1
 	var cost units.NS
 	var coldFast []*vm.Page
 	for _, pg := range p.k.Pages() {
@@ -130,7 +119,7 @@ func (p *Policy) OnFault(pg *vm.Page, now simclock.Time) {
 	if pg.Tier != mem.SlowTier {
 		return
 	}
-	if bits.OnesCount64(lap(pg)) >= p.cfg.PromoteThreshold {
+	if bits.OnesCount64(lap(pg)) >= promoteThreshold {
 		p.k.Promote(pg)
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"chrono/internal/simclock"
 )
 
-// TestLAPGatedPromotion: a page needs PromoteThreshold bits of fault
+// TestLAPGatedPromotion: a page needs promoteThreshold bits of fault
 // history before opportunistic promotion, so the first pass promotes
 // nothing.
 func TestLAPGatedPromotion(t *testing.T) {

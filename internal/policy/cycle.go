@@ -4,8 +4,30 @@ import (
 	"cmp"
 	"slices"
 
+	"chrono/internal/mem"
+	"chrono/internal/units"
 	"chrono/internal/vm"
 )
+
+// PEBSBudget is the PEBS sample budget of the PEBS-family baselines
+// (Memtis, FlexMem, HeMem) on k: the real 100k/s hardware cap scaled so
+// the expected counter of one simulated *huge* page equals the real
+// per-huge-page counter, rate = 100k × 512 / (HugeFactor × CostScale),
+// floored at 10/s. This preserves the paper's §2.3 regime at any
+// simulator scale — huge-page counters are large and stable, base-page
+// counters collapse toward zero (Figure 2b), because the base:huge
+// counter ratio is the fold factor in both worlds.
+func PEBSBudget(k Kernel) units.Hz {
+	return max(units.Hz(100000*512/(float64(k.HugeFactor())*k.CostScale())), 10)
+}
+
+// CycleBatch is the per-cycle migration cap, in base pages, of the
+// background-cycle baselines (Memtis, FlexMem, HeMem, Telescope) on k:
+// 1/32 of the fast tier, but at least one huge page, or huge-page
+// promotion starves on small tiers.
+func CycleBatch(k Kernel) int {
+	return max(int(k.Node().Capacity(mem.FastTier)/32), k.HugeFactor())
+}
 
 // ProcPages is one process's resident pages, in page-table (ID) order.
 type ProcPages struct {

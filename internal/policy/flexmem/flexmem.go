@@ -29,43 +29,25 @@ import (
 	"chrono/internal/vm"
 )
 
+// FlexMem's published settings.
+const (
+	// samplePeriod is the DS-area drain interval.
+	samplePeriod = simclock.Second
+	// coolingPeriods is the sample periods between counter halvings.
+	coolingPeriods = 8
+	// migratePeriod is the background cycle.
+	migratePeriod = 2 * simclock.Second
+	// nBins is the histogram depth.
+	nBins = 16
+	// timelySlack relaxes the fault-path threshold: a faulting page in
+	// bin >= hotBin-timelySlack promotes immediately.
+	timelySlack = 1
+)
+
 // Config holds FlexMem's tunables.
 type Config struct {
-	Scan scan.Config
-	// SampleRate is the PEBS budget (0 = scale-derived default).
+	// SampleRate is the PEBS budget (0 = policy.PEBSBudget).
 	SampleRate units.Hz
-	// SamplePeriod is the DS-area drain interval (default 1 s).
-	SamplePeriod simclock.Duration
-	// CoolingPeriods between counter halvings (default 8).
-	CoolingPeriods int
-	// MigratePeriod is the background cycle (default 2 s).
-	MigratePeriod simclock.Duration
-	// MigrateBatch caps background moves per cycle (default fast/32).
-	MigrateBatch int
-	// NBins is the histogram depth (default 16).
-	NBins int
-	// TimelySlack relaxes the fault-path threshold: a faulting page in
-	// bin >= hotBin-TimelySlack promotes immediately (default 1).
-	TimelySlack int
-}
-
-func (c Config) withDefaults() Config {
-	if c.SamplePeriod == 0 {
-		c.SamplePeriod = simclock.Second
-	}
-	if c.CoolingPeriods == 0 {
-		c.CoolingPeriods = 8
-	}
-	if c.MigratePeriod == 0 {
-		c.MigratePeriod = 2 * simclock.Second
-	}
-	if c.NBins == 0 {
-		c.NBins = 16
-	}
-	if c.TimelySlack == 0 {
-		c.TimelySlack = 1
-	}
-	return c
 }
 
 // Policy is the FlexMem baseline.
@@ -105,10 +87,9 @@ type scratch struct {
 
 // New returns a FlexMem policy.
 func New(cfg Config) *Policy {
-	cfg = cfg.withDefaults()
 	return &Policy{cfg: cfg, hotBin: make(map[*vm.Process]int), scratch: scratch{
-		hist:    pebs.Histogram{Bins: make([]int64, cfg.NBins)},
-		binSize: make([]int64, cfg.NBins),
+		hist:    pebs.Histogram{Bins: make([]int64, nBins)},
+		binSize: make([]int64, nBins),
 	}}
 }
 
@@ -119,34 +100,25 @@ func (p *Policy) Name() string { return "FlexMem" }
 func (p *Policy) Attach(k policy.Kernel) {
 	p.k = k
 	if p.cfg.SampleRate == 0 {
-		p.cfg.SampleRate = units.Hz(100000 * 512 / (float64(k.HugeFactor()) * k.CostScale()))
-		if p.cfg.SampleRate < 10 {
-			p.cfg.SampleRate = 10
-		}
-	}
-	if p.cfg.MigrateBatch == 0 {
-		p.cfg.MigrateBatch = int(k.Node().Capacity(mem.FastTier) / 32)
-		if p.cfg.MigrateBatch < k.HugeFactor() {
-			p.cfg.MigrateBatch = k.HugeFactor()
-		}
+		p.cfg.SampleRate = policy.PEBSBudget(k)
 	}
 	p.sampler = pebs.NewSampler(k.RNG(), p.cfg.SampleRate)
 	p.sampler.Grow(len(k.Pages()))
 
 	// PEBS sampling + cooling.
-	k.Clock().EveryKey("flexmem/sample", p.cfg.SamplePeriod, func(now simclock.Time) {
-		k.SamplePEBS(p.sampler, units.SecondsOf(p.cfg.SamplePeriod))
+	k.Clock().EveryKey("flexmem/sample", samplePeriod, func(now simclock.Time) {
+		k.SamplePEBS(p.sampler, units.SecondsOf(samplePeriod))
 		p.periods++
-		if p.periods%p.cfg.CoolingPeriods == 0 {
+		if p.periods%coolingPeriods == 0 {
 			p.sampler.Cool()
 		}
 	})
 	// Background classification + migration.
-	k.Clock().EveryKey("flexmem/background", p.cfg.MigratePeriod, func(now simclock.Time) {
+	k.Clock().EveryKey("flexmem/background", migratePeriod, func(now simclock.Time) {
 		p.background()
 	})
 	// Fault channel: poison slow-tier pages for timely decisions.
-	p.scan = scan.Start(k, p.cfg.Scan, func(pg *vm.Page, now simclock.Time) {
+	p.scan = scan.Start(k, scan.Config{}, func(pg *vm.Page, now simclock.Time) {
 		if pg.Tier == mem.SlowTier {
 			k.Protect(pg)
 		}
@@ -237,7 +209,7 @@ func (p *Policy) OnFault(pg *vm.Page, now simclock.Time) {
 		return // no classification yet; wait for the background cycle
 	}
 	bin := pebs.BinOf(p.sampler.Counter(pg.ID))
-	if bin >= hot-p.cfg.TimelySlack && bin >= 1 {
+	if bin >= hot-timelySlack && bin >= 1 {
 		if policy.RetryPromote(p.k, pg, 2) == policy.MigrateOK {
 			p.TimelyPromotions++
 		}
@@ -253,7 +225,7 @@ func (p *Policy) background() {
 		return
 	}
 	fastCap := p.k.Node().Capacity(mem.FastTier)
-	budget := p.cfg.MigrateBatch
+	budget := policy.CycleBatch(p.k)
 	p.cycles++
 	p.work.Cycles++
 
@@ -265,8 +237,8 @@ func (p *Policy) background() {
 		for _, pg := range pages {
 			c := p.sampler.Counter(pg.ID)
 			b := pebs.BinOf(c)
-			if b >= p.cfg.NBins {
-				b = p.cfg.NBins - 1
+			if b >= nBins {
+				b = nBins - 1
 			}
 			sc.hist.Add(c)
 			sc.binSize[b] += int64(pg.Size)

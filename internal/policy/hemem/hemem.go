@@ -6,8 +6,8 @@
 // thresholds").
 //
 // A page whose sample counter reaches HotThreshold is promoted; fast-tier
-// pages whose counter stays below ColdThreshold are demotion candidates
-// under watermark pressure. Counters cool periodically. Because the
+// pages whose counter stays at or below coldThreshold are demotion
+// candidates under watermark pressure. Counters cool periodically. Because the
 // thresholds never adapt, the classification quality depends entirely on
 // how well the constants happen to match the workload — HeMem's known
 // limitation.
@@ -24,46 +24,25 @@ import (
 	"chrono/internal/vm"
 )
 
+// HeMem's published settings.
+const (
+	// samplePeriod is the DS-area drain interval.
+	samplePeriod = simclock.Second
+	// coldThreshold is the count at or below which a fast page is a
+	// demotion candidate.
+	coldThreshold uint32 = 1
+	// coolingPeriods is the sample periods between counter halvings.
+	coolingPeriods = 8
+	// migratePeriod is the background migration cycle.
+	migratePeriod = 2 * simclock.Second
+)
+
 // Config holds HeMem's tunables.
 type Config struct {
-	// SampleRate is the PEBS budget (0 = scale-derived default shared
-	// with Memtis).
-	SampleRate units.Hz
-	// SamplePeriod is the DS-area drain interval (default 1 s).
-	SamplePeriod simclock.Duration
 	// HotThreshold is the fixed sample count above which a page is hot
 	// (HeMem's default is in the 2^5..2^15 band the paper cites; 8 at
 	// the simulator's scaled budget).
 	HotThreshold uint32
-	// ColdThreshold is the count at or below which a fast page is a
-	// demotion candidate (default 1).
-	ColdThreshold uint32
-	// CoolingPeriods is the sample periods between counter halvings
-	// (default 8).
-	CoolingPeriods int
-	// MigratePeriod is the background migration cycle (default 2 s).
-	MigratePeriod simclock.Duration
-	// MigrateBatch caps page moves per cycle (default fast/32).
-	MigrateBatch int
-}
-
-func (c Config) withDefaults() Config {
-	if c.SamplePeriod == 0 {
-		c.SamplePeriod = simclock.Second
-	}
-	if c.HotThreshold == 0 {
-		c.HotThreshold = 8
-	}
-	if c.ColdThreshold == 0 {
-		c.ColdThreshold = 1
-	}
-	if c.CoolingPeriods == 0 {
-		c.CoolingPeriods = 8
-	}
-	if c.MigratePeriod == 0 {
-		c.MigratePeriod = 2 * simclock.Second
-	}
-	return c
 }
 
 // Policy is the HeMem baseline.
@@ -76,7 +55,12 @@ type Policy struct {
 }
 
 // New returns a HeMem policy.
-func New(cfg Config) *Policy { return &Policy{cfg: cfg.withDefaults()} }
+func New(cfg Config) *Policy {
+	if cfg.HotThreshold == 0 {
+		cfg.HotThreshold = 8
+	}
+	return &Policy{cfg: cfg}
+}
 
 // Name implements policy.Policy.
 func (p *Policy) Name() string { return "HeMem" }
@@ -87,28 +71,16 @@ func (p *Policy) Sampler() *pebs.Sampler { return p.sampler }
 // Attach implements policy.Policy.
 func (p *Policy) Attach(k policy.Kernel) {
 	p.k = k
-	if p.cfg.SampleRate == 0 {
-		p.cfg.SampleRate = units.Hz(100000 * 512 / (float64(k.HugeFactor()) * k.CostScale()))
-		if p.cfg.SampleRate < 10 {
-			p.cfg.SampleRate = 10
-		}
-	}
-	if p.cfg.MigrateBatch == 0 {
-		p.cfg.MigrateBatch = int(k.Node().Capacity(mem.FastTier) / 32)
-		if p.cfg.MigrateBatch < k.HugeFactor() {
-			p.cfg.MigrateBatch = k.HugeFactor()
-		}
-	}
-	p.sampler = pebs.NewSampler(k.RNG(), p.cfg.SampleRate)
+	p.sampler = pebs.NewSampler(k.RNG(), policy.PEBSBudget(k))
 	p.sampler.Grow(len(k.Pages()))
-	k.Clock().Every(p.cfg.SamplePeriod, func(now simclock.Time) {
-		k.SamplePEBS(p.sampler, units.SecondsOf(p.cfg.SamplePeriod))
+	k.Clock().Every(samplePeriod, func(now simclock.Time) {
+		k.SamplePEBS(p.sampler, units.SecondsOf(samplePeriod))
 		p.periods++
-		if p.periods%p.cfg.CoolingPeriods == 0 {
+		if p.periods%coolingPeriods == 0 {
 			p.sampler.Cool()
 		}
 	})
-	k.Clock().Every(p.cfg.MigratePeriod, func(now simclock.Time) {
+	k.Clock().Every(migratePeriod, func(now simclock.Time) {
 		p.migrate()
 	})
 }
@@ -127,7 +99,7 @@ func (p *Policy) migrate() {
 		switch {
 		case pg.Tier == mem.SlowTier && c >= p.cfg.HotThreshold:
 			hotSlow = append(hotSlow, pg)
-		case pg.Tier == mem.FastTier && c <= p.cfg.ColdThreshold:
+		case pg.Tier == mem.FastTier && c <= coldThreshold:
 			coldFast = append(coldFast, pg)
 		}
 	}
@@ -139,7 +111,7 @@ func (p *Policy) migrate() {
 	})
 
 	node := p.k.Node()
-	budget := p.cfg.MigrateBatch
+	budget := policy.CycleBatch(p.k)
 	demoteIdx := 0
 	for _, pg := range hotSlow {
 		if budget < int(pg.Size) {

@@ -23,33 +23,28 @@ import (
 // numa_balancing_scan_*).
 type Config struct {
 	Scan scan.Config
-	// ScanFastTier controls whether fast-tier pages are also poisoned.
-	// Vanilla balancing scans everything; the fast-tier faults are pure
-	// overhead on a CPU-less slow node. Default true, as in vanilla.
-	ScanFastTier bool
 }
 
 // Policy is the Linux-NB baseline.
 type Policy struct {
 	policy.Base
-	cfg          Config
-	scanFastTier bool
-	k            policy.Kernel
+	cfg Config
+	k   policy.Kernel
 }
 
 // New returns a Linux-NB policy with the given config.
-func New(cfg Config) *Policy { return &Policy{cfg: cfg, scanFastTier: true} }
+func New(cfg Config) *Policy { return &Policy{cfg: cfg} }
 
 // Name implements policy.Policy.
 func (p *Policy) Name() string { return "Linux-NB" }
 
 // Attach implements policy.Policy: it starts the per-process scan clocks.
+// Vanilla balancing poisons every page, fast tier included; the fast-tier
+// faults are pure overhead on a CPU-less slow node.
 func (p *Policy) Attach(k policy.Kernel) {
 	p.k = k
 	scan.Start(k, p.cfg.Scan, func(pg *vm.Page, now simclock.Time) {
-		if pg.Tier == mem.SlowTier || p.scanFastTier {
-			k.Protect(pg)
-		}
+		k.Protect(pg)
 	})
 }
 

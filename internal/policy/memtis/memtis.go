@@ -25,46 +25,29 @@ import (
 	"chrono/internal/vm"
 )
 
+// Memtis's published settings.
+const (
+	// samplePeriod is the DS-area drain interval.
+	samplePeriod = simclock.Second
+	// coolingPeriods is the number of sample periods between counter
+	// cooling events.
+	coolingPeriods = 8
+	// migratePeriod is the kmigrated cycle.
+	migratePeriod = 2 * simclock.Second
+	// splitBudget is the max huge-page splits per cycle — Memtis's
+	// deliberately conservative splitting.
+	splitBudget = 2
+	// nBins is the histogram depth.
+	nBins = 16
+)
+
 // Config holds Memtis's tunables.
 type Config struct {
 	// SampleRate is the PEBS budget in samples/second. When zero it
-	// defaults to the real 100k/s kernel cap divided by the simulator's
-	// capacity scale, preserving the expected per-page counter value.
+	// defaults to policy.PEBSBudget: the real 100k/s kernel cap divided
+	// by the simulator's capacity scale, preserving the expected
+	// per-page counter value.
 	SampleRate units.Hz
-	// SamplePeriod is the DS-area drain interval (default 1 s).
-	SamplePeriod simclock.Duration
-	// CoolingPeriods is the number of sample periods between counter
-	// cooling events (default 8).
-	CoolingPeriods int
-	// MigratePeriod is the kmigrated cycle (default 2 s).
-	MigratePeriod simclock.Duration
-	// MigrateBatch caps page moves per cycle in base pages (default 1/32
-	// of the fast tier).
-	MigrateBatch int
-	// SplitBudget is the max huge-page splits per cycle (default 2 —
-	// Memtis's deliberately conservative splitting).
-	SplitBudget int
-	// NBins is the histogram depth (default 16).
-	NBins int
-}
-
-func (c Config) withDefaults() Config {
-	if c.SamplePeriod == 0 {
-		c.SamplePeriod = simclock.Second
-	}
-	if c.CoolingPeriods == 0 {
-		c.CoolingPeriods = 8
-	}
-	if c.MigratePeriod == 0 {
-		c.MigratePeriod = 2 * simclock.Second
-	}
-	if c.SplitBudget == 0 {
-		c.SplitBudget = 2
-	}
-	if c.NBins == 0 {
-		c.NBins = 16
-	}
-	return c
 }
 
 // Policy is the Memtis baseline.
@@ -102,10 +85,9 @@ type scratch struct {
 
 // New returns a Memtis policy.
 func New(cfg Config) *Policy {
-	cfg = cfg.withDefaults()
 	return &Policy{cfg: cfg, scratch: scratch{
-		hist:    pebs.Histogram{Bins: make([]int64, cfg.NBins)},
-		binSize: make([]int64, cfg.NBins),
+		hist:    pebs.Histogram{Bins: make([]int64, nBins)},
+		binSize: make([]int64, nBins),
 	}}
 }
 
@@ -118,37 +100,19 @@ func (p *Policy) Sampler() *pebs.Sampler { return p.sampler }
 // Attach implements policy.Policy.
 func (p *Policy) Attach(k policy.Kernel) {
 	p.k = k
-	if p.cfg.MigrateBatch == 0 {
-		p.cfg.MigrateBatch = int(k.Node().Capacity(mem.FastTier) / 32)
-		// The batch must cover at least one huge page or huge-page
-		// promotion starves on small tiers.
-		if p.cfg.MigrateBatch < k.HugeFactor() {
-			p.cfg.MigrateBatch = k.HugeFactor()
-		}
-	}
 	if p.cfg.SampleRate == 0 {
-		// Scale the real 100k/s hardware budget so the expected counter of
-		// one simulated *huge* page equals the real per-huge-page counter:
-		// rate = 100k × 512 / (HugeFactor × CostScale). This preserves the
-		// paper's §2.3 regime at any simulator scale — huge-page counters
-		// are large and stable, base-page counters collapse toward zero
-		// (Figure 2b), because the base:huge counter ratio is the fold
-		// factor in both worlds.
-		p.cfg.SampleRate = units.Hz(100000 * 512 / (float64(k.HugeFactor()) * k.CostScale()))
-		if p.cfg.SampleRate < 10 {
-			p.cfg.SampleRate = 10
-		}
+		p.cfg.SampleRate = policy.PEBSBudget(k)
 	}
 	p.sampler = pebs.NewSampler(k.RNG(), p.cfg.SampleRate)
 	p.sampler.Grow(len(k.Pages()))
-	k.Clock().EveryKey("memtis/sample", p.cfg.SamplePeriod, func(now simclock.Time) {
-		k.SamplePEBS(p.sampler, units.SecondsOf(p.cfg.SamplePeriod))
+	k.Clock().EveryKey("memtis/sample", samplePeriod, func(now simclock.Time) {
+		k.SamplePEBS(p.sampler, units.SecondsOf(samplePeriod))
 		p.periods++
-		if p.periods%p.cfg.CoolingPeriods == 0 {
+		if p.periods%coolingPeriods == 0 {
 			p.sampler.Cool()
 		}
 	})
-	k.Clock().EveryKey("memtis/migrate", p.cfg.MigratePeriod, func(now simclock.Time) {
+	k.Clock().EveryKey("memtis/migrate", migratePeriod, func(now simclock.Time) {
 		p.kmigrated()
 	})
 }
@@ -195,7 +159,7 @@ func (p *Policy) kmigrated() {
 		return
 	}
 	fastCap := p.k.Node().Capacity(mem.FastTier)
-	budget := p.cfg.MigrateBatch
+	budget := policy.CycleBatch(p.k)
 	p.cycles++
 	p.work.Cycles++
 
@@ -207,8 +171,8 @@ func (p *Policy) kmigrated() {
 		var resident int64
 		for _, pg := range pages {
 			b := pebs.BinOf(p.sampler.Counter(pg.ID))
-			if b >= p.cfg.NBins {
-				b = p.cfg.NBins - 1
+			if b >= nBins {
+				b = nBins - 1
 			}
 			sc.hist.Add(p.sampler.Counter(pg.ID))
 			sc.binSize[b] += int64(pg.Size)
@@ -337,7 +301,7 @@ func (c *coldList) demote(k policy.Migrator, need int64) (visited int) {
 	return visited
 }
 
-// splitHot splits up to SplitBudget of the process's hottest
+// splitHot splits up to splitBudget of the process's hottest
 // *under-utilized* huge pages — the ones whose PEBS address samples show
 // accesses concentrated in a fraction of the region — letting subsequent
 // sampling separate their hot and cold base regions.
@@ -353,7 +317,7 @@ func (p *Policy) splitHot(pages []*vm.Page, hotBin int) {
 	slices.SortFunc(huge, func(a, b *vm.Page) int {
 		return cmp.Compare(p.sampler.Counter(b.ID), p.sampler.Counter(a.ID))
 	})
-	for i := 0; i < len(huge) && i < p.cfg.SplitBudget; i++ {
+	for i := 0; i < len(huge) && i < splitBudget; i++ {
 		pg := huge[i]
 		// Redistribute the region counter over the fragments so the
 		// freshly split pages keep their aggregate hotness estimate

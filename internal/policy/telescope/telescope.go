@@ -26,48 +26,21 @@ import (
 	"chrono/internal/vm"
 )
 
-// Config holds Telescope's tunables.
-type Config struct {
-	// Window is the fixed profiling window (default 200 ms).
-	Window simclock.Duration
-	// RegionPages is the upper-level region size in pages (default 64,
-	// one PMD-level entry at the simulator's scale).
-	RegionPages int
-	// HotStreak is the number of consecutive referenced windows that
-	// make a leaf hot (default 4).
-	HotStreak int
-	// MigratePeriod is the background migration cycle (default 2 s).
-	MigratePeriod simclock.Duration
-	// MigrateBatch caps page moves per cycle (default fast/32).
-	MigrateBatch int
-	// NodeTestNS is the kernel cost per tree-node accessed-bit test.
-	NodeTestNS units.NS
-	// ProfileBudget caps the page-level tests per window (default
-	// totalPages/8). Telescope's efficiency claim rests on access
-	// sparsity; on a dense footprint the profiler must round-robin its
-	// open regions within a bounded budget or its own cost would exceed
-	// the machine.
-	ProfileBudget int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Window == 0 {
-		c.Window = 200 * simclock.Millisecond
-	}
-	if c.RegionPages == 0 {
-		c.RegionPages = 64
-	}
-	if c.HotStreak == 0 {
-		c.HotStreak = 4
-	}
-	if c.MigratePeriod == 0 {
-		c.MigratePeriod = 2 * simclock.Second
-	}
-	if c.NodeTestNS == 0 {
-		c.NodeTestNS = 40
-	}
-	return c
-}
+// Telescope's published settings.
+const (
+	// window is the fixed profiling window.
+	window = 200 * simclock.Millisecond
+	// regionPages is the upper-level region size in pages: one PMD-level
+	// entry at the simulator's scale.
+	regionPages = 64
+	// hotStreak is the number of consecutive referenced windows that
+	// make a leaf hot.
+	hotStreak = 4
+	// migratePeriod is the background migration cycle.
+	migratePeriod = 2 * simclock.Second
+	// nodeTestNS is the kernel cost per tree-node accessed-bit test.
+	nodeTestNS units.NS = 40
+)
 
 // region is one upper-level tree node covering a run of page IDs.
 type region struct {
@@ -82,16 +55,21 @@ type region struct {
 // current streak).
 type Policy struct {
 	policy.Base
-	cfg     Config
 	k       policy.Kernel
 	regions []*region
 	cursor  int
+	// profileBudget caps the page-level tests per window: totalPages/8,
+	// at least one region. Telescope's efficiency claim rests on access
+	// sparsity; on a dense footprint the profiler must round-robin its
+	// open regions within a bounded budget or its own cost would exceed
+	// the machine.
+	profileBudget int
 	// OpenRegions is exported for tests: the live telescoped set size.
 	OpenRegions int
 }
 
 // New returns a Telescope policy.
-func New(cfg Config) *Policy { return &Policy{cfg: cfg.withDefaults()} }
+func New() *Policy { return &Policy{} }
 
 // Name implements policy.Policy.
 func (p *Policy) Name() string { return "Telescope" }
@@ -99,21 +77,10 @@ func (p *Policy) Name() string { return "Telescope" }
 // Attach implements policy.Policy.
 func (p *Policy) Attach(k policy.Kernel) {
 	p.k = k
-	if p.cfg.MigrateBatch == 0 {
-		p.cfg.MigrateBatch = int(k.Node().Capacity(mem.FastTier) / 32)
-		if p.cfg.MigrateBatch < 16 {
-			p.cfg.MigrateBatch = 16
-		}
-	}
 	p.buildRegions()
-	if p.cfg.ProfileBudget == 0 {
-		p.cfg.ProfileBudget = len(k.Pages()) / 8
-		if p.cfg.ProfileBudget < p.cfg.RegionPages {
-			p.cfg.ProfileBudget = p.cfg.RegionPages
-		}
-	}
-	k.Clock().Every(p.cfg.Window, func(now simclock.Time) { p.profile(now) })
-	k.Clock().Every(p.cfg.MigratePeriod, func(now simclock.Time) { p.migrate() })
+	p.profileBudget = max(len(k.Pages())/8, regionPages)
+	k.Clock().Every(window, func(now simclock.Time) { p.profile(now) })
+	k.Clock().Every(migratePeriod, func(now simclock.Time) { p.migrate() })
 }
 
 // buildRegions groups the resident pages into fixed-size regions in page
@@ -124,7 +91,7 @@ func (p *Policy) buildRegions() {
 		if pg == nil {
 			continue
 		}
-		if cur == nil || len(cur.pages) >= p.cfg.RegionPages {
+		if cur == nil || len(cur.pages) >= regionPages {
 			cur = &region{}
 			p.regions = append(p.regions, cur)
 		}
@@ -139,7 +106,7 @@ func (p *Policy) buildRegions() {
 // through the entry; sampling keeps the cost model honest while retaining
 // the any-child semantics for non-sparse regions).
 func (p *Policy) regionAccessed(r *region) bool {
-	p.k.ChargeKernel(p.cfg.NodeTestNS.Mul(p.k.CostScale()))
+	p.k.ChargeKernel(nodeTestNS.Mul(p.k.CostScale()))
 	// Probe up to 8 spread children.
 	step := len(r.pages) / 8
 	if step < 1 {
@@ -160,7 +127,7 @@ func (p *Policy) regionAccessed(r *region) bool {
 // streaks, and collapse when idle.
 func (p *Policy) profile(now simclock.Time) {
 	open := 0
-	budget := p.cfg.ProfileBudget
+	budget := p.profileBudget
 	n := len(p.regions)
 	for i := 0; i < n; i++ {
 		r := p.regions[(p.cursor+i)%n]
@@ -177,7 +144,7 @@ func (p *Policy) profile(now simclock.Time) {
 		budget -= len(r.pages)
 		anyHot := false
 		for _, pg := range r.pages {
-			p.k.ChargeKernel(p.cfg.NodeTestNS.Mul(p.k.CostScale()))
+			p.k.ChargeKernel(nodeTestNS.Mul(p.k.CostScale()))
 			streak := pg.Meta & 0xff
 			if p.k.AccessedTestAndClear(pg) {
 				if streak < 255 {
@@ -208,7 +175,7 @@ func (p *Policy) migrate() {
 		}
 		streak := int(pg.Meta & 0xff)
 		switch {
-		case pg.Tier == mem.SlowTier && streak >= p.cfg.HotStreak:
+		case pg.Tier == mem.SlowTier && streak >= hotStreak:
 			hotSlow = append(hotSlow, pg)
 		case pg.Tier == mem.FastTier && streak == 0:
 			coldFast = append(coldFast, pg)
@@ -218,7 +185,7 @@ func (p *Policy) migrate() {
 		return hotSlow[i].Meta&0xff > hotSlow[j].Meta&0xff
 	})
 	node := p.k.Node()
-	budget := p.cfg.MigrateBatch
+	budget := policy.CycleBatch(p.k)
 	di := 0
 	for _, pg := range hotSlow {
 		if budget < int(pg.Size) {

@@ -12,10 +12,7 @@ import (
 	"chrono/internal/policy/hemem"
 	"chrono/internal/policy/linuxnb"
 	"chrono/internal/policy/memtis"
-	"chrono/internal/policy/multiclock"
 	"chrono/internal/policy/scan"
-	"chrono/internal/policy/telescope"
-	"chrono/internal/policy/tpp"
 )
 
 // unitPkgs are the packages whose types carry their unit in the type
@@ -39,9 +36,7 @@ var dimensionless = map[string]bool{
 	// engine.Config
 	"Seed":         true,
 	"Gap":          true, // GapModel enum selector, not a quantity
-	"NCPU":         true, // hardware thread count
 	"HugeFactor":   true, // pages folded per huge page
-	"CostScale":    true, // real pages per simulated page (ratio)
 	"Shards":       true, // fault-machinery partition count
 	"ShardWorkers": true, // materialization goroutine cap
 	// mem.Config / mem.Node
@@ -49,23 +44,9 @@ var dimensionless = map[string]bool{
 	"SlowPages":     true,
 	"PromotedPages": true,
 	"DemotedPages":  true,
-	// policy configs: counts, depths, thresholds, budgets, fractions
-	"PromoteThreshold": true, // LAP popcount
-	"LAPBits":          true,
-	"CoolingPeriods":   true, // count of sample periods
-	"MigrateBatch":     true, // pages per cycle
-	"NBins":            true,
-	"TimelySlack":      true, // bin distance
-	"HotThreshold":     true, // sample count
-	"ColdThreshold":    true, // sample count
-	"SplitBudget":      true, // splits per cycle
-	"Levels":           true,
-	"ScanBatch":        true, // pages per pass
-	"StepPages":        true,
-	"RegionPages":      true,
-	"HotStreak":        true, // consecutive windows
-	"ProfileBudget":    true, // tests per window
-	"HeadroomFrac":     true, // fraction of fast capacity
+	// policy configs: counts and thresholds
+	"HotThreshold": true, // sample count
+	"StepPages":    true,
 }
 
 // TestConfigFieldsDeclareUnits walks every exported numeric field of the
@@ -84,10 +65,7 @@ func TestConfigFieldsDeclareUnits(t *testing.T) {
 		hemem.Config{},
 		linuxnb.Config{},
 		memtis.Config{},
-		multiclock.Config{},
 		scan.Config{},
-		telescope.Config{},
-		tpp.Config{},
 	}
 	for _, s := range structs {
 		rt := reflect.TypeOf(s)
