@@ -29,7 +29,6 @@ import (
 	"chrono/internal/units"
 	"chrono/internal/vm"
 	"chrono/internal/workload"
-	"chrono/internal/xarray"
 )
 
 // benchDuration keeps each simulated run short enough for `go test
@@ -372,54 +371,6 @@ func BenchmarkAppBSelectionStats(b *testing.B) {
 }
 
 // --- Substrate microbenchmarks -------------------------------------------
-
-func BenchmarkXArrayStore(b *testing.B) {
-	var x xarray.XArray
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Store(uint64(i)&0xffff, i)
-	}
-}
-
-func BenchmarkXArrayLoad(b *testing.B) {
-	var x xarray.XArray
-	for i := uint64(0); i < 1<<16; i++ {
-		x.Store(i, i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if x.Load(uint64(i)&0xffff) == nil {
-			b.Fatal("miss")
-		}
-	}
-}
-
-// BenchmarkXArrayVsMap compares the candidate-index implementation against
-// a plain map (the design-choice DESIGN.md calls out).
-func BenchmarkXArrayVsMap(b *testing.B) {
-	b.Run("xarray", func(b *testing.B) {
-		var x xarray.XArray
-		for i := 0; i < b.N; i++ {
-			k := uint64(i) & 0x3fff
-			x.Store(k, i)
-			x.Load(k)
-			if i&7 == 0 {
-				x.Erase(k)
-			}
-		}
-	})
-	b.Run("map", func(b *testing.B) {
-		m := make(map[uint64]any)
-		for i := 0; i < b.N; i++ {
-			k := uint64(i) & 0x3fff
-			m[k] = i
-			_ = m[k]
-			if i&7 == 0 {
-				delete(m, k)
-			}
-		}
-	})
-}
 
 func BenchmarkSimclockEvents(b *testing.B) {
 	c := simclock.New()

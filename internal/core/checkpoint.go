@@ -11,15 +11,13 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"chrono/internal/mem"
 	"chrono/internal/policy/scan"
 	"chrono/internal/simclock"
-	"chrono/internal/xarray"
 )
 
-// candState is one candidate-filter entry (XArray key order).
+// candState is one candidate-filter entry (page-ID order).
 type candState struct {
 	ID      int64             `json:"id"`
 	Passes  int               `json:"passes"`
@@ -27,7 +25,7 @@ type candState struct {
 	Stamp   simclock.Time     `json:"stamp"`
 }
 
-// retryState is one promotion-queue retry counter.
+// retryState is one promotion-queue retry counter (page-ID order).
 type retryState struct {
 	ID int64 `json:"id"`
 	N  int8  `json:"n"`
@@ -120,21 +118,19 @@ func (c *Chrono) CheckpointState() (any, error) {
 	for t := range c.heat {
 		st.Heat[t] = append([]float64(nil), c.heat[t]...)
 	}
-	// XArray.Range visits keys in ascending order — deterministic bytes.
-	c.cands.Range(func(key uint64, v any) bool {
-		e := v.(*candidate)
-		st.Cands = append(st.Cands, candState{
-			ID: int64(key), Passes: e.passes, LastCIT: e.lastCIT, Stamp: e.stamp,
-		})
-		return true
-	})
-	// The retries map is keyed-access-only in steady state; serialization
-	// is the one place it is enumerated, sorted by page ID.
-	//chrono:ordered-irrelevant keys are sorted immediately below
-	for id, n := range c.retries {
-		st.Retries = append(st.Retries, retryState{ID: id, N: n})
+	// Walking the columns in page-ID order gives deterministic bytes.
+	for id, p := range c.passes {
+		if p > 0 {
+			st.Cands = append(st.Cands, candState{
+				ID: int64(id), Passes: int(p), LastCIT: c.lastCIT[id], Stamp: c.stamp[id],
+			})
+		}
 	}
-	sort.Slice(st.Retries, func(i, j int) bool { return st.Retries[i].ID < st.Retries[j].ID })
+	for id, n := range c.retries {
+		if n != 0 {
+			st.Retries = append(st.Retries, retryState{ID: int64(id), N: n})
+		}
+	}
 	for _, pr := range c.probes {
 		st.Probes = append(st.Probes, probeState{ID: pr.id, Stamp: pr.stamp})
 	}
@@ -154,6 +150,26 @@ func (c *Chrono) RestoreCheckpoint(data []byte) error {
 				t, len(st.Heat[t]), BBuckets)
 		}
 	}
+	// Every ID indexes a per-page column; live pass and retry counts lie
+	// in [1, Rounds) and [1, maxPromoteRetries).
+	npages := int64(len(c.k.Pages()))
+	for _, cs := range st.Cands {
+		if cs.ID < 0 || cs.ID >= npages || cs.Passes <= 0 || cs.Passes >= c.opt.Rounds {
+			return fmt.Errorf("core: restore: candidate page %d with %d passes is out of range (%d pages, %d rounds)",
+				cs.ID, cs.Passes, npages, c.opt.Rounds)
+		}
+	}
+	for _, r := range st.Retries {
+		if r.ID < 0 || r.ID >= npages || r.N <= 0 || r.N >= maxPromoteRetries {
+			return fmt.Errorf("core: restore: retry count %d for page %d is out of range (%d pages)",
+				r.N, r.ID, npages)
+		}
+	}
+	for _, id := range st.Queue {
+		if id < 0 || id >= npages {
+			return fmt.Errorf("core: restore: queued page %d is out of range (%d pages)", id, npages)
+		}
+	}
 	c.thresholdMS = st.ThresholdMS
 	c.rateLimitBps = st.RateLimitBps
 	c.opt.DeltaStep = st.DeltaStep
@@ -168,11 +184,14 @@ func (c *Chrono) RestoreCheckpoint(data []byte) error {
 	for t := range c.heat {
 		copy(c.heat[t], st.Heat[t])
 	}
-	c.cands = &xarray.XArray{}
+	c.grow()
+	clear(c.passes)
+	clear(c.retries)
 	for _, cs := range st.Cands {
-		c.cands.Store(uint64(cs.ID), &candidate{passes: cs.Passes, lastCIT: cs.LastCIT, stamp: cs.Stamp})
+		c.passes[cs.ID] = int8(cs.Passes)
+		c.lastCIT[cs.ID] = cs.LastCIT
+		c.stamp[cs.ID] = cs.Stamp
 	}
-	c.retries = make(map[int64]int8, len(st.Retries))
 	for _, r := range st.Retries {
 		c.retries[r.ID] = r.N
 	}

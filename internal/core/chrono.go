@@ -7,9 +7,11 @@
 //     pages and captures the idle time (CIT) between the scan and the next
 //     access — a per-page metric that is statistically proportional to the
 //     access interval, decoupling frequency resolution from the scan rate.
-//     A two-round candidate filter (an XArray of candidates re-evaluated
-//     on the following scan pass) and a rate-limited promotion queue turn
-//     CIT classifications into stable migrations.
+//     A two-round candidate filter (dense per-page columns of pass count,
+//     last CIT and stamp, re-evaluated on the following scan pass) and a
+//     rate-limited promotion queue turn CIT classifications into stable
+//     migrations. The kernel keeps candidates in an XArray; indexing the
+//     columns by page ID gives the same ascending-ID walk order.
 //   - Adaptive parameter tuning (§3.2): semi-automatic tuning adjusts the
 //     CIT threshold against a user rate limit via
 //     TH ← (1−δ+δ·r)·TH with r = rate_limit / enqueue_rate; the default
@@ -26,6 +28,8 @@
 package core
 
 import (
+	"math"
+
 	"chrono/internal/mem"
 	"chrono/internal/policy"
 	"chrono/internal/policy/scan"
@@ -33,7 +37,6 @@ import (
 	"chrono/internal/stats"
 	"chrono/internal/units"
 	"chrono/internal/vm"
-	"chrono/internal/xarray"
 )
 
 // Tuning selects the parameter tuning mode (§3.2).
@@ -105,6 +108,8 @@ func (o Options) withDefaults() Options {
 	if o.Rounds == 0 {
 		o.Rounds = 2
 	}
+	// Pass counts live in an int8 column.
+	o.Rounds = min(o.Rounds, math.MaxInt8)
 	if o.RateLimitMBps == 0 {
 		o.RateLimitMBps = 100
 	}
@@ -130,14 +135,6 @@ func (o Options) withDefaults() Options {
 		o.DemotionPeriod = simclock.Second
 	}
 	return o
-}
-
-// candidate is the XArray entry for a page that passed at least one CIT
-// round (§3.1.2, Figure 4).
-type candidate struct {
-	passes  int
-	lastCIT simclock.Duration
-	stamp   simclock.Time
 }
 
 // probe is one outstanding DCSC victim.
@@ -170,8 +167,14 @@ type Chrono struct {
 	// rateLimitBps is the live promotion rate limit in bytes/second.
 	rateLimitBps float64 //chrono:state RateLimitBps
 
-	// Candidate filtering (§3.1.2).
-	cands *xarray.XArray //chrono:state Cands
+	// Candidate filtering (§3.1.2), dense per page ID: passes counts the
+	// CIT rounds passed (0: not a candidate), and lastCIT and stamp
+	// record the latest passed round. The columns grow to len(k.Pages())
+	// on demand; a candidate whose page was freed by a huge-page split
+	// stays until expireCandidates drops it.
+	passes  []int8              //chrono:state Cands
+	lastCIT []simclock.Duration //chrono:state Cands
+	stamp   []simclock.Time     //chrono:state Cands
 	// Promotion queue, FIFO of page IDs, drained rate-limited.
 	queue []int64 //chrono:state Queue
 	// enqueue accounting for the semi-auto tuner (bytes per scan period),
@@ -182,10 +185,9 @@ type Chrono struct {
 	promotedPages int64 //chrono:state PromotedPages
 	thrashEvents  int64 //chrono:state ThrashEvents
 	// retries counts transient promotion failures per queued page ID
-	// (busy/pinned-page aborts); pages exceeding maxPromoteRetries are
-	// dropped from the queue. Keyed access only — never iterated — so
-	// map order cannot leak into the migration order.
-	retries map[int64]int8 //chrono:state Retries
+	// (busy/pinned-page aborts), dense like the candidate columns; pages
+	// reaching maxPromoteRetries are dropped from the queue.
+	retries []int8 //chrono:state Retries
 
 	// DCSC heat maps (§3.2.2): per-tier CIT bucket counters, decayed at
 	// every tuning step. Sample counts track the scaling denominator.
@@ -225,8 +227,6 @@ func New(opt Options) *Chrono {
 		opt:          opt,
 		thresholdMS:  CITThresholdMS,
 		rateLimitBps: opt.RateLimitMBps * 1e6,
-		cands:        &xarray.XArray{},
-		retries:      make(map[int64]int8),
 	}
 	for t := range c.heat {
 		c.heat[t] = make([]float64, BBuckets)
@@ -251,8 +251,27 @@ func (c *Chrono) RateLimitMBps() float64 { return c.rateLimitBps / 1e6 }
 // QueueLen returns the current promotion queue depth.
 func (c *Chrono) QueueLen() int { return len(c.queue) }
 
-// Candidates returns the current candidate-set size.
-func (c *Chrono) Candidates() int { return c.cands.Len() }
+// Candidates returns the current candidate-set size, counted on demand.
+func (c *Chrono) Candidates() int {
+	n := 0
+	for _, p := range c.passes {
+		if p > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// grow sizes the per-page columns to the page table.
+func (c *Chrono) grow() {
+	n := len(c.k.Pages())
+	if len(c.passes) < n {
+		c.passes = append(c.passes, make([]int8, n-len(c.passes))...)
+		c.lastCIT = append(c.lastCIT, make([]simclock.Duration, n-len(c.lastCIT))...)
+		c.stamp = append(c.stamp, make([]simclock.Time, n-len(c.stamp))...)
+		c.retries = append(c.retries, make([]int8, n-len(c.retries))...)
+	}
+}
 
 // SetCITObserver installs a callback receiving every Ticking-scan CIT
 // observation (Figure 10a instrumentation).
@@ -383,36 +402,34 @@ func (c *Chrono) OnFault(pg *vm.Page, now simclock.Time) {
 		pg.Flags &^= vm.FlagDemoted
 	}
 
-	key := uint64(pg.ID)
-	entry, _ := c.cands.Load(key).(*candidate)
+	c.grow()
+	id := pg.ID
 
 	if citMS >= th {
 		// Failed a round: drop candidacy (Figure 4, second-round "N").
-		if entry != nil {
-			c.cands.Erase(key)
+		if c.passes[id] > 0 {
+			c.passes[id] = 0
 			pg.Flags &^= vm.FlagCandidate
 			c.FilteredOut++
 		}
 		return
 	}
 
-	if entry == nil {
-		entry = &candidate{}
-		c.cands.Store(key, entry)
+	if c.passes[id] == 0 {
 		pg.Flags |= vm.FlagCandidate
 	}
-	entry.passes++
-	entry.lastCIT = cit
-	entry.stamp = now
+	c.passes[id]++
+	c.lastCIT[id] = cit
+	c.stamp[id] = now
 
-	if entry.passes >= c.opt.Rounds {
+	if int(c.passes[id]) >= c.opt.Rounds {
 		// Submission (Figure 4 step 5): move to the promotion queue. The
 		// queue is bounded to one scan period's worth of rate-limited
 		// migration — beyond that, additional candidates cannot possibly
 		// migrate before the next re-evaluation, so they are dropped
 		// (they re-qualify on a later pass if still hot). The enqueue
 		// *demand* is still counted for the semi-auto tuner.
-		c.cands.Erase(key)
+		c.passes[id] = 0
 		pg.Flags &^= vm.FlagCandidate
 		c.Enqueued++
 		c.enqueuedBytes += float64(int64(pg.Size) * c.k.Node().PageSizeBytes)
@@ -448,9 +465,10 @@ const maxPromoteRetries = 3
 // the queue — the head must not wedge the whole queue, and the next
 // attempt happens no earlier than the next MigrateTick, which is the
 // retry backoff in sim time — while capacity/bandwidth exhaustion
-// re-queues at the front and stops the drain, since every subsequent
-// entry would fail the same way until the budget refills.
+// leaves the page at the head and stops the drain, since every
+// subsequent entry would fail the same way until the budget refills.
 func (c *Chrono) drainQueue(now simclock.Time) {
+	c.grow()
 	budgetBytes := c.rateLimitBps * c.opt.MigrateTick.Seconds()
 	pageBytes := float64(c.k.Node().PageSizeBytes)
 	pages := c.k.Pages()
@@ -458,27 +476,27 @@ func (c *Chrono) drainQueue(now simclock.Time) {
 	// after a transient abort is not retried within the same tick.
 	for n := len(c.queue); n > 0 && len(c.queue) > 0 && budgetBytes >= pageBytes; n-- {
 		id := c.queue[0]
-		c.queue = c.queue[1:]
 		pg := pages[id]
 		if pg == nil || pg.Tier != mem.SlowTier {
-			delete(c.retries, id)
+			c.queue = c.queue[1:]
+			c.retries[id] = 0
 			continue // stale entry
 		}
 		cost := float64(int64(pg.Size) * c.k.Node().PageSizeBytes)
 		if cost > budgetBytes && c.promotedPages > 0 {
-			// Re-queue the head; not enough budget this tick.
-			c.queue = append([]int64{id}, c.queue...)
-			return
+			return // not enough budget this tick; the head waits
 		}
 		switch c.k.TryPromote(pg) {
 		case policy.MigrateOK:
-			delete(c.retries, id)
+			c.queue = c.queue[1:]
+			c.retries[id] = 0
 			budgetBytes -= cost
 			c.Promoted++
 			c.promotedPages += int64(pg.Size)
 		case policy.MigrateTransient:
+			c.queue = c.queue[1:]
 			if c.retries[id]++; c.retries[id] >= maxPromoteRetries {
-				delete(c.retries, id)
+				c.retries[id] = 0
 				c.RetryDropped++
 			} else {
 				c.queue = append(c.queue, id)
@@ -486,7 +504,6 @@ func (c *Chrono) drainQueue(now simclock.Time) {
 		default: // MigrateNoCapacity
 			// Migration bandwidth exhausted or fast tier unreclaimable:
 			// retry the page next tick.
-			c.queue = append([]int64{id}, c.queue...)
 			return
 		}
 	}

@@ -42,7 +42,7 @@ func TestDrainQueueTransientSkipsAndRequeues(t *testing.T) {
 		t.Fatalf("busy page not promoted after condition cleared: promotes=%d queue=%d",
 			len(k.promotes), c.QueueLen())
 	}
-	if _, live := c.retries[busy.ID]; live {
+	if c.retries[busy.ID] != 0 {
 		t.Fatal("retry count not cleared after successful promotion")
 	}
 }
@@ -66,7 +66,7 @@ func TestDrainQueueDropsAfterMaxRetries(t *testing.T) {
 	if c.RetryDropped != 1 {
 		t.Fatalf("RetryDropped = %d, want 1", c.RetryDropped)
 	}
-	if _, live := c.retries[busy.ID]; live {
+	if c.retries[busy.ID] != 0 {
 		t.Fatal("retry count leaked after drop")
 	}
 	if len(k.promotes) != 0 {
@@ -83,7 +83,7 @@ func TestDrainQueueNoCapacityStillStopsDrain(t *testing.T) {
 	c.opt.MigrateTick = 100 * simclock.Millisecond
 
 	c.drainQueue(k.clock.Now())
-	// Capacity exhaustion: head requeued at the FRONT, drain stopped —
+	// Capacity exhaustion: head kept at the FRONT, drain stopped —
 	// retrying b against the same dry budget would be wasted work.
 	if c.QueueLen() != 2 || c.queue[0] != a.ID {
 		t.Fatalf("capacity failure changed queue semantics: queue=%v", c.queue)
@@ -93,8 +93,8 @@ func TestDrainQueueNoCapacityStillStopsDrain(t *testing.T) {
 	}
 }
 
-// TestDrainQueueStaleClearsRetryCount guards the retries map against
-// leaking entries for pages that left the slow tier by other means.
+// TestDrainQueueStaleClearsRetryCount guards the retries column against
+// keeping counts for pages that left the slow tier by other means.
 func TestDrainQueueStaleClearsRetryCount(t *testing.T) {
 	c, k := attach(t, quietOptions())
 	pg := k.addPage(mem.SlowTier, 1)
@@ -109,7 +109,7 @@ func TestDrainQueueStaleClearsRetryCount(t *testing.T) {
 	if c.QueueLen() != 0 {
 		t.Fatal("stale entry not removed")
 	}
-	if _, live := c.retries[pg.ID]; live {
+	if c.retries[pg.ID] != 0 {
 		t.Fatal("retry count leaked for stale entry")
 	}
 }

@@ -101,18 +101,13 @@ func (c *Chrono) clampRateLimit() {
 // stale pass count must not carry into a much later qualification.
 func (c *Chrono) expireCandidates(now simclock.Time) {
 	maxAge := 2 * c.scan.Config().Period
-	var stale []uint64
-	c.cands.Range(func(key uint64, v any) bool {
-		if entry, ok := v.(*candidate); ok && now-entry.stamp > maxAge {
-			stale = append(stale, key)
-		}
-		return true
-	})
 	pages := c.k.Pages()
-	for _, key := range stale {
-		c.cands.Erase(key)
-		if pg := pages[key]; pg != nil {
-			pg.Flags &^= vm.FlagCandidate
+	for id, p := range c.passes {
+		if p > 0 && now-c.stamp[id] > maxAge {
+			c.passes[id] = 0
+			if pg := pages[id]; pg != nil {
+				pg.Flags &^= vm.FlagCandidate
+			}
 		}
 	}
 }
